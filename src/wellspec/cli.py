@@ -11,10 +11,7 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -23,7 +20,7 @@ from . import oracle, spectrum, wavefn
 from .errors import SolverFailure
 from .model import DimensionlessConfig
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -48,7 +45,6 @@ class RunReport:
     k_max: float
     entries: list = field(default_factory=list)
     checks: dict = field(default_factory=dict)
-    timing_s: float = 0.0
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -101,15 +97,7 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
             fh.close()
 
 
-def _thread_count() -> int:
-    env = os.environ.get("WELLSPEC_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def cmd_spectrum(args) -> int:
-    t0 = time.perf_counter()
     config = _parse_rho_flags(args)
     k_max = args.kmax * math.pi
     spec = spectrum.full_spectrum(config, k_max)
@@ -123,7 +111,6 @@ def cmd_spectrum(args) -> int:
             config=_config_echo(config),
             k_max=k_max,
             entries=[_entry_dict(s) for s in entries],
-            timing_s=time.perf_counter() - t0,
         )
         fh, close = _open_out(args.out)
         try:
@@ -166,8 +153,7 @@ def cmd_sweep_ground(args) -> int:
     signs = ["attract", "repel"] if args.signs == "both" else [args.signs]
     rhos = np.linspace(0.005, 0.995, args.rho_steps)
     points = [(f_mag, sign, float(rho)) for f_mag in f_list for sign in signs for rho in rhos]
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        results = list(pool.map(lambda p: _sweep_point(*p), points))
+    results = [_sweep_point(*p) for p in points]
     results.sort(key=lambda r: (r[0], r[1], r[2]))
     rows = [[_fmt(f), sign, _fmt(rho), _fmt(e)] for f, sign, rho, e in results]
     _write_csv(args.out, SWEEP_HEADER, rows)
@@ -214,7 +200,6 @@ def _run_checks(args, config: DimensionlessConfig) -> tuple[dict, bool]:
 
 
 def cmd_check(args) -> int:
-    t0 = time.perf_counter()
     config = _parse_rho_flags(args)
     checks, ok = _run_checks(args, config)
     for name, c in checks.items():
@@ -227,7 +212,6 @@ def cmd_check(args) -> int:
             config=_config_echo(config),
             k_max=args.kmax * math.pi,
             checks=checks,
-            timing_s=time.perf_counter() - t0,
         )
         with open(args.out, "w") as fh:
             json.dump(report.to_dict(), fh, indent=2)
@@ -270,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectrum", help="solve and emit the sorted spectrum")
     _add_rho_f_flags(p_spec)
-    p_spec.add_argument("--kmax", type=float, default=20.0, help="scan ceiling in units of pi")
+    p_spec.add_argument("--kmax", type=float, default=20.0, help="spectrum ceiling in units of pi")
     p_spec.add_argument("--count", type=int, default=None, help="truncate output to N entries")
     p_spec.add_argument("--format", choices=["csv", "json"], default="csv")
     p_spec.add_argument("--out", default="-")

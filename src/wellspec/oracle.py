@@ -6,10 +6,11 @@ The Hamiltonian is diagonal plus rank one in this basis:
 
 so rows whose sine factor vanishes decouple exactly (the nodal sector for
 rational positions).  Eigenvalues of the coupled sector are roots of the
-rank-one secular function, solved here by monotone bisection between
-interlacing poles; a cyclic Jacobi sweep is provided as a second, dense
-eigensolver used to verify the secular path.  Both are in-repo: the oracle
-never leans on an external eigensolver.
+rank-one secular function, solved here by one vectorized bisection between
+interlacing poles (the bracket solver the exact dispersion also uses); a
+cyclic Jacobi sweep is provided as a second, dense eigensolver used to verify
+the secular path.  Both are in-repo: the oracle never leans on an external
+eigensolver.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure
 from .model import DimensionlessConfig
-
-_EPS = np.finfo(float).eps
+from .spectrum import bisect_brackets
 
 
 @dataclass(frozen=True)
@@ -57,28 +57,6 @@ def build_matrix(config: DimensionlessConfig, m: int) -> SineBasisMatrix:
     return SineBasisMatrix(m, diag, u, sigma)
 
 
-def _secular_root(d: np.ndarray, u2: np.ndarray, sigma: float, lo: float, hi: float, w_lo_pos: bool) -> float:
-    """Bisect 1 + sigma * sum(u2/(d - lam)) on (lo, hi); endpoint signs are known.
-
-    ``w_lo_pos`` states whether the secular function is positive just inside
-    the left end, so the poles themselves are never evaluated.
-    """
-    for _ in range(220):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        w = 1.0 + sigma * np.sum(u2 / (d - mid))
-        if w == 0.0:
-            return mid
-        if (w > 0.0) == w_lo_pos:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 8.0 * _EPS * max(1.0, abs(lo), abs(hi)):
-            break
-    return 0.5 * (lo + hi)
-
-
 def lowest_eigenvalues(matrix: SineBasisMatrix, count: int) -> list[float]:
     """The ``count`` smallest eigenvalues, ascending.
 
@@ -98,18 +76,24 @@ def lowest_eigenvalues(matrix: SineBasisMatrix, count: int) -> list[float]:
     u2 = matrix.coupling[mask] ** 2
     n_coupled = len(d)
     n_secular = min(count, n_coupled)
-    roots: list[float] = []
+
+    def secular(lam, _):
+        terms = d - lam[:, None]
+        np.divide(u2, terms, out=terms)  # in place: one (roots x m) temporary, not two
+        return 1.0 + sigma * terms.sum(axis=1)
+
+    reach = sigma * float(np.sum(u2))  # Weyl bound on the outermost root's shift
     if sigma < 0.0:
         # roots sit below each coupled diagonal entry; w decreases across each gap
-        lo0 = d[0] + sigma * float(np.sum(u2))
-        roots.append(_secular_root(d, u2, sigma, lo0, d[0], True))
-        for i in range(1, n_secular):
-            roots.append(_secular_root(d, u2, sigma, d[i - 1], d[i], True))
+        lo = np.concatenate(([d[0] + reach], d[: n_secular - 1]))
+        hi = d[:n_secular]
+        lo_sign = 1.0
     else:
         # roots sit above each coupled diagonal entry; w increases across each gap
-        for i in range(n_secular):
-            hi = d[i + 1] if i + 1 < n_coupled else d[i] + sigma * float(np.sum(u2))
-            roots.append(_secular_root(d, u2, sigma, d[i], hi, False))
+        lo = d[:n_secular]
+        hi = np.concatenate((d[1 : n_secular + 1], [d[-1] + reach]))[:n_secular]
+        lo_sign = -1.0
+    roots = bisect_brackets(secular, lo, hi, lo_sign).tolist()
     merged = sorted(roots + deflated[:count])
     if len(merged) < count:
         raise ConvergenceFailure(f"only {len(merged)} eigenvalues available below request {count}")

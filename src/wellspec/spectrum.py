@@ -4,8 +4,9 @@ Positive-energy roots come from the entire-function residual
 
     g(kL) = f * kL * sin(kL) - 2 * sin(kL*rho) * sin(kL*(1-rho)),
 
-which is pole-free, so sign-change bracketing is sound everywhere.  The
-pole-ridden ratio form is kept only for emitting dispersion-curve data.
+which is pole-free, and whose roots interlace the free-well levels m*pi, so
+every level below a ceiling has its own certified bracket.  The pole-ridden
+ratio form is kept only for emitting dispersion-curve data.
 """
 
 from __future__ import annotations
@@ -48,9 +49,6 @@ class EigenState:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    samples_per_pi: int = 64
-    refine_factor: int = 64
-    refine_window: float = math.pi / 16.0
     residual_tol: float = 1e-10
     nodal_match_tol: float = 1e-9
     vanish_tol: float = 1e-6
@@ -125,10 +123,12 @@ def rhs_negative(kappaL: float, rho: float) -> float:
         m2 = m * m
         num = t * t * (1.0 - m2) / 2.0 + t**4 * (1.0 - m2 * m2) / 24.0 + t**6 * (1.0 - m2 * m2 * m2) / 720.0
         return num / math.sinh(t)
+    # 1 - (cosh(t mu) - e^-t) / sinh t: the deficit from 1 is computed on its
+    # own, so the value stays monotone in floats where it saturates at 1
     if t < 350.0:
-        return (math.cosh(t) - math.cosh(t * m)) / math.sinh(t)
+        return 1.0 - (math.cosh(t * m) - math.exp(-t)) / math.sinh(t)
     # exp form: factor e^t out of numerator and denominator
-    return (1.0 + math.exp(-2.0 * t) - math.exp(-t * (1.0 - m)) - math.exp(-t * (1.0 + m))) / (
+    return 1.0 - (math.exp(-t * (1.0 - m)) + math.exp(-t * (1.0 + m)) - 2.0 * math.exp(-2.0 * t)) / (
         1.0 - math.exp(-2.0 * t)
     )
 
@@ -139,7 +139,11 @@ def negative_residual(kappaL: float, config: DimensionlessConfig) -> float:
 
 
 def _bisect(fn, lo: float, hi: float, flo: float, fhi: float, max_iter: int) -> float:
-    """Bisection inside a certified bracket down to machine-relative width."""
+    """Bisection inside a certified bracket down to machine-relative width.
+
+    Only the signs of ``flo`` and ``fhi`` are used, so a caller that knows
+    the endpoint signs may pass them as +-1 instead of evaluating ``fn``.
+    """
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -162,19 +166,49 @@ def _bisect(fn, lo: float, hi: float, flo: float, fhi: float, max_iter: int) -> 
     return 0.5 * (lo + hi)
 
 
-def _scan_grid(k_max: float, opts: SolverOptions) -> np.ndarray:
-    h = math.pi / opts.samples_per_pi
-    base = np.arange(h, k_max + 0.5 * h, h)
-    fine = [base]
-    hf = h / opts.refine_factor
-    for m in range(0, int(k_max / math.pi) + 2):
-        c = m * math.pi
-        lo = max(hf, c - opts.refine_window)
-        hi = min(k_max, c + opts.refine_window)
-        if hi > lo:
-            fine.append(np.arange(lo, hi + 0.5 * hf, hf))
-    grid = np.unique(np.concatenate(fine))
-    return grid[(grid > 0.0) & (grid <= k_max * (1.0 + 1e-12))]
+def bisect_brackets(fn, lo, hi, lo_sign, max_iter: int = DEFAULT_OPTIONS.max_bisect) -> np.ndarray:
+    """Bisect ``fn`` on every bracket (lo[i], hi[i]) at once, to machine-relative width.
+
+    ``fn(x, idx)`` returns the values at the points ``x`` of the brackets
+    numbered ``idx``.  ``lo_sign`` (a scalar or one entry per bracket) is the
+    sign of ``fn`` just inside lo[i]; ``fn`` has the opposite sign just inside
+    hi[i].  The endpoints are never evaluated, so a bracket may end on a pole,
+    or on a rounded multiple of pi where ``fn`` rounds to the wrong sign.  A
+    bracket leaves the working set once it is converged, so its midpoint never
+    rounds onto an endpoint.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    sign = np.broadcast_to(np.asarray(lo_sign, dtype=float), lo.shape)
+    idx = np.arange(lo.size)
+    out = np.empty(lo.size)
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        done = hi - lo <= 4.0 * _EPS * np.maximum(1.0, np.abs(mid))
+        if done.any():
+            out[idx[done]] = mid[done]
+            keep = ~done
+            lo, hi, mid, sign, idx = lo[keep], hi[keep], mid[keep], sign[keep], idx[keep]
+        if not idx.size:
+            break
+        right = fn(mid, idx) * sign > 0.0
+        lo = np.where(right, mid, lo)
+        hi = np.where(right, hi, mid)
+    out[idx] = 0.5 * (lo + hi)
+    return out
+
+
+def _deflated_residual(d, center, config: DimensionlessConfig):
+    """G(d) = (-1)^c g(c pi + d) / d at a nodal multiple c of pi (exact positions).
+
+    With c rho an integer, g(c pi + d) = (-1)^c [f (c pi + d) sin d
+    - 2 sin(d rho) sin(d (1 - rho))], so dividing out the nodal zero at d = 0
+    leaves G(0) = f c pi and G(-pi) > 0 > G(pi).  The companion root of the
+    nodal level therefore lies on the side of d given by the sign of f.
+    Works on scalars and arrays alike.
+    """
+    rho, f = config.rho, config.f
+    return f * (center * math.pi + d) * np.sin(d) / d - 2.0 * np.sin(d * rho) * np.sin(d * (1.0 - rho)) / d
 
 
 def _threshold_coupling(rho: float) -> float:
@@ -190,8 +224,9 @@ def _quartic_coeff(rho: float, f: float) -> float:
 def _small_positive_root(config: DimensionlessConfig, opts: SolverOptions) -> EigenState | None:
     """Ground root just above zero energy when f exceeds the binding threshold.
 
-    The scan grid can miss this root arbitrarily close to the threshold, so it
-    is bracketed from the small-k series estimate t^2 ~ (f - fc)/c4.
+    Near the threshold g is of order (f - fc) k^2 on most of (0, pi), below
+    its rounding error, so this root is bracketed from the small-k series
+    estimate t^2 ~ (f - fc)/c4 instead.
     """
     f, rho = config.f, config.rho
     fc = _threshold_coupling(rho)
@@ -201,8 +236,8 @@ def _small_positive_root(config: DimensionlessConfig, opts: SolverOptions) -> Ei
     if c4 <= 0.0:
         return None
     t_est = math.sqrt((f - fc) / c4)
-    if t_est >= 0.5:
-        return None  # far from threshold; the ordinary scan resolves it
+    if not t_est < 0.5:
+        return None  # far from threshold (or f = inf); bisection on (0, pi) resolves it
     if f - fc <= 1e-10:
         # below the cancellation floor of g; the series root is sharper
         return EigenState(ORDINARY_POSITIVE, t_est, t_est * t_est, abs(_g_scalar(t_est, rho, f)))
@@ -219,23 +254,28 @@ def _small_positive_root(config: DimensionlessConfig, opts: SolverOptions) -> Ei
     return EigenState(ORDINARY_POSITIVE, root, root * root, res)
 
 
-def _keep_as_ordinary(root: float, config: DimensionlessConfig, opts: SolverOptions) -> bool:
-    """Drop residual roots that duplicate a nodal entry or carry no wave.
+def _keep_as_ordinary(roots: np.ndarray, config: DimensionlessConfig, opts: SolverOptions) -> np.ndarray:
+    """Mask of the roots that carry a wave.
 
-    At a multiple of pi, g vanishes either at a nodal value (enumerated
-    separately for exact positions) or at a coincidence where both segment
-    amplitudes vanish; neither is a reportable ordinary state.
+    On the generic path, a position within ~1e-7 of a rational makes g vanish
+    at a multiple of pi where both segment amplitudes vanish too; such a root
+    is not a reportable ordinary state.
     """
-    m = round(root / math.pi)
-    if m <= 0 or abs(root - m * math.pi) >= opts.nodal_match_tol:
-        return True
-    if config.is_exact and m % config.rational.n == 0:
-        return False
-    sl = abs(math.sin(root * config.rho))
-    sr = abs(math.sin(root * (1.0 - config.rho)))
-    if sl < opts.vanish_tol and sr < opts.vanish_tol:
-        return False
-    return True
+    m = np.round(roots / math.pi)
+    near = (m > 0) & (np.abs(roots - m * math.pi) < opts.nodal_match_tol)
+    sl = np.abs(np.sin(roots * config.rho))
+    sr = np.abs(np.sin(roots * (1.0 - config.rho)))
+    return ~(near & (sl < opts.vanish_tol) & (sr < opts.vanish_tol))
+
+
+def _certify(roots: np.ndarray, config: DimensionlessConfig, opts: SolverOptions) -> np.ndarray:
+    """Absolute residuals of g at the roots; raises if any exceeds the scaled tolerance."""
+    res = np.abs(dispersion_residual(roots, config))
+    bad = np.nonzero(res > opts.residual_tol * np.maximum(1.0, abs(config.f) * roots))[0]
+    if bad.size:
+        root = float(roots[bad[0]])
+        raise SolverFailure(f"root polish left residual {res[bad[0]]:.3e} at kL={root}", (root, root))
+    return res
 
 
 def find_ordinary_positive(
@@ -243,33 +283,51 @@ def find_ordinary_positive(
     k_max: float = DEFAULT_K_MAX,
     opts: SolverOptions = DEFAULT_OPTIONS,
 ) -> list[EigenState]:
-    """All ordinary positive-energy roots of the dispersion in (0, k_max)."""
+    """All ordinary positive-energy roots of the dispersion in (0, k_max].
+
+    g is the secular function of a diagonal-plus-rank-one operator, and
+    g(m pi) = 2 (-1)^m sin^2(m pi rho), so its roots interlace the free-well
+    levels m pi:
+
+    * each interval (m pi, (m+1) pi), m >= 1, holds exactly one root, with g
+      of sign (-1)^m just above m pi;
+    * (0, pi) holds one only above the binding threshold 2 rho (1 - rho);
+    * at an exact position rho = p/n, g also vanishes at every nodal multiple
+      c of pi; the two intervals beside it merge into one bracket holding one
+      ordinary companion, on the side of c pi given by the sign of f, and it
+      is solved in the deflated form ``_deflated_residual``.
+
+    Every bracket is solved at once by ``bisect_brackets``, with endpoint
+    signs from this count rather than from g at a rounded multiple of pi.
+    The interval holding k_max is solved whole and its root kept when it lies
+    below k_max, which is the rule sign g(k_max) != (-1)^M for the partial
+    interval (M pi, k_max].
+    """
     rho, f = config.rho, config.f
-    grid = _scan_grid(k_max, opts)
-    vals = np.asarray(dispersion_residual(grid, config))
-    fn = lambda t: _g_scalar(t, rho, f)
+    top = int(k_max // math.pi)  # index of the interval holding k_max
+    above = f > _threshold_coupling(rho)
+    small = _small_positive_root(config, opts) if above else None
+    first = 0 if above and small is None else 1
+    m = np.arange(first, top + 1)
+    centers = np.zeros(0)
+    if config.is_exact:
+        n = config.rational.n
+        m = m[((m % n != 0) | (m == 0)) & ((m + 1) % n != 0)]  # intervals beside no nodal level
+        centers = np.arange(n, top + 2, n, dtype=float)
 
-    roots: list[float] = []
-    sign_change = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
-    for i in sign_change:
-        roots.append(_bisect(fn, float(grid[i]), float(grid[i + 1]), float(vals[i]), float(vals[i + 1]), opts.max_bisect))
-    for i in np.nonzero(vals == 0.0)[0]:
-        roots.append(float(grid[i]))
-
-    states: list[EigenState] = []
-    small = _small_positive_root(config, opts)
-    if small is not None and small.k <= k_max:
-        roots.append(small.k)
-    for root in sorted(roots):
-        if states and abs(root - states[-1].k) < opts.nodal_match_tol:
-            continue
-        if not _keep_as_ordinary(root, config, opts):
-            continue
-        res = abs(_g_scalar(root, rho, f))
-        if res > opts.residual_tol * max(1.0, abs(f) * root):
-            raise SolverFailure(f"root polish left residual {res:.3e} at kL={root}", (root, root))
-        states.append(EigenState(ORDINARY_POSITIVE, root, root * root, res))
-    return states
+    g = lambda k, _: dispersion_residual(k, config)
+    roots = bisect_brackets(g, m * math.pi, (m + 1) * math.pi, 1.0 - 2.0 * (m % 2), opts.max_bisect)
+    if small is not None:
+        roots = np.concatenate(([small.k], roots))
+    roots = roots[_keep_as_ordinary(roots, config, opts)]
+    if centers.size:
+        side = (0.0, math.pi) if f > 0.0 else (-math.pi, 0.0)
+        deflated = lambda d, i: _deflated_residual(d, centers[i], config)
+        d = bisect_brackets(deflated, np.full(centers.size, side[0]), np.full(centers.size, side[1]), 1.0, opts.max_bisect)
+        roots = np.sort(np.concatenate((roots, centers * math.pi + d)))
+    roots = roots[roots <= k_max]
+    res = _certify(roots, config, opts)
+    return [EigenState(ORDINARY_POSITIVE, k, k * k, r) for k, r in zip(roots.tolist(), res.tolist())]
 
 
 def enumerate_nodal(pos: RationalPosition, k_max: float) -> list[EigenState]:
@@ -319,10 +377,20 @@ def ground_state(
     fc = _threshold_coupling(rho)
     if f > 0.0 and abs(f - fc) <= 1e-10:
         return EigenState(ORDINARY_POSITIVE, 0.0, 0.0, 0.0)
-    spec = full_spectrum(config, 4.0 * math.pi, opts)
-    if not spec.entries:
-        raise SolverFailure("no state below 4*pi ceiling", None)
-    return spec.entries[0]
+    # the lowest bracket of find_ordinary_positive, solved in scalar code
+    g = lambda t: _g_scalar(t, rho, f)
+    if f > fc:
+        small = _small_positive_root(config, opts)
+        root = small.k if small is not None else _bisect(g, 0.0, math.pi, 1.0, -1.0, opts.max_bisect)
+    elif config.is_exact and config.rational.n == 2:
+        deflated = lambda d: float(_deflated_residual(d, 2, config))
+        root = 2.0 * math.pi + _bisect(deflated, -math.pi, 0.0, 1.0, -1.0, opts.max_bisect)
+    else:
+        root = _bisect(g, math.pi, 2.0 * math.pi, -1.0, 1.0, opts.max_bisect)
+    res = abs(g(root))
+    if res > opts.residual_tol * max(1.0, abs(f) * root):
+        raise SolverFailure(f"root polish left residual {res:.3e} at kL={root}", (root, root))
+    return EigenState(ORDINARY_POSITIVE, root, root * root, res)
 
 
 def full_spectrum(

@@ -42,8 +42,7 @@ class TestCsvSchemas:
 
 
 class TestDeterminism:
-    def test_sweep_byte_identical(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("WELLSPEC_THREADS", "4")
+    def test_sweep_byte_identical(self, tmp_path):
         args = ["sweep-ground", "--f-list", "0.1,0.4", "--signs", "both", "--rho-steps", "21"]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(args + ["--out", str(a)]) == 0
@@ -57,6 +56,13 @@ class TestDeterminism:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_spectrum_json_byte_identical(self, tmp_path):
+        args = ["spectrum", "--rho", "2/5", "--f", "0.01", "--kmax", "7", "--format", "json"]
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(args + ["--out", str(a)]) == 0
+        assert main(args + ["--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
 
 class TestJsonReport:
     def test_round_trip_and_schema(self, tmp_path):
@@ -64,7 +70,7 @@ class TestJsonReport:
         rc = main(["spectrum", "--rho", "2/5", "--f", "0.01", "--kmax", "7", "--format", "json", "--out", str(out)])
         assert rc == 0
         loaded = json.loads(out.read_text())
-        assert loaded["schema"] == 1
+        assert loaded["schema"] == 2
         assert loaded["config"]["rho_exact"] == {"p": 2, "n": 5}
         report = RunReport.from_dict(loaded)
         assert report.to_dict() == loaded

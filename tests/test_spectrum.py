@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import wellspec as ws
 
@@ -182,6 +182,22 @@ class TestGroundState:
         g = ws.ground_state(_exact(1, 2, -0.1))
         assert g.energy * 0.01 == pytest.approx(0.28167696523334296, rel=1e-10)
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [_gen(rho, f) for rho in (0.13, 0.5, 0.71) for f in (-50.0, -2.0, -0.3, -0.05, 0.05, 0.3, 2.0, 50.0)]
+        + [_exact(p, n, f) for p, n in ((1, 2), (2, 5)) for f in (-50.0, -0.3, -0.01, 0.01, 0.3, 50.0)]
+        # within 1e-6 of the binding threshold, outside the 1e-10 band reported as the marginal zero
+        + [_gen(rho, 2.0 * rho * (1.0 - rho) + df) for rho in (0.13, 0.5) for df in (-1e-6, -1e-8, 1e-8, 1e-6)]
+        + [_exact(1, 2, 0.5 + df) for df in (-1e-6, 1e-8, 1e-6)],
+        ids=repr,
+    )
+    def test_matches_lowest_spectrum_entry(self, cfg):
+        # the scalar ground-state path solves the lowest bracket of full_spectrum
+        g = ws.ground_state(cfg)
+        e0 = ws.full_spectrum(cfg, 4.0 * math.pi).entries[0]
+        assert g.kind == e0.kind
+        assert g.energy == pytest.approx(e0.energy, rel=1e-12)
+
     def test_continuity_across_crossing(self):
         es = [ws.ground_state(_exact(1, 2, f)).energy for f in (0.49, 0.5, 0.51)]
         assert es[0] < 0.0 < es[2]
@@ -241,6 +257,34 @@ class TestFullSpectrum:
         assert len(e1) == len(e2)
         for a, b in zip(e1, e2):
             assert a == pytest.approx(b, abs=1e-9 * max(1.0, abs(a)))
+
+    def test_level_in_last_partial_interval(self):
+        # the level at 26.5355 pi lies within 0.01 pi below k_max = 26.5434 pi
+        cfg = _gen(0.2801753075844777, 0.007367996012206104)
+        assert len(ws.full_spectrum(cfg, 83.3884553474475).entries) == 27
+
+    def test_endpoint_signs_not_taken_from_rounded_multiples_of_pi(self):
+        # g(fl(1999 pi)) rounds to +2.2e-8 while g(1999 pi) = -1.8e-8: a solver
+        # reading bracket signs off g at rounded multiples of pi loses a level
+        cfg = _gen((700.0 + 3e-5) / 1999.0, 100.0)
+        assert len(ws.full_spectrum(cfg, 2000.5 * math.pi).entries) == 2000
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(0.01, 0.99),
+        st.floats(-3.0, 2.0),
+        st.booleans(),
+        st.floats(0.5, 60.0 * math.pi),
+    )
+    def test_level_count_is_interlacing_count(self, rho, log_f, repel, k_max):
+        # rank-one interlacing: floor(K/pi) + [g(K) sin K < 0] - [f < 0] levels lie below K
+        n = np.arange(1, int(k_max / math.pi) + 1)
+        assume(n.size == 0 or np.min(np.abs(n * rho - np.round(n * rho))) >= 1e-5)
+        assume(abs(math.sin(k_max)) > 1e-12)  # at a multiple of pi the count formula is undefined
+        f = -(10.0**log_f) if repel else 10.0**log_f
+        g = f * k_max * math.sin(k_max) - 2.0 * math.sin(k_max * rho) * math.sin(k_max * (1.0 - rho))
+        expected = math.floor(k_max / math.pi) + int(g * math.sin(k_max) < 0.0) - int(f < 0.0)
+        assert len(ws.full_spectrum(_gen(rho, f), k_max).entries) == expected
 
 
 class TestAsymptoticEstimators:
