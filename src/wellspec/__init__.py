@@ -14,9 +14,7 @@ from .spectrum import (
     NODAL,
     ORDINARY_NEGATIVE,
     ORDINARY_POSITIVE,
-    POLE,
     EigenState,
-    PoleMarker,
     SolverOptions,
     Spectrum,
     dispersion_residual,
@@ -26,6 +24,7 @@ from .spectrum import (
     find_ordinary_positive,
     full_spectrum,
     ground_state,
+    ground_states,
     near_wall_energy,
     rhs_negative,
     rhs_positive,

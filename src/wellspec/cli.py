@@ -128,34 +128,29 @@ def cmd_dispersion_curve(args) -> int:
         rho = int(p_str) / int(n_str)
     else:
         rho = float(args.rho)
+    if args.samples_per_pi < 1:
+        raise ValueError(f"--samples-per-pi must be positive, got {args.samples_per_pi}")
     n_samples = int(round(args.kmax * args.samples_per_pi))
-    rows = []
-    for i in range(n_samples + 1):
-        k_over_pi = i / args.samples_per_pi
-        val = spectrum.rhs_positive(k_over_pi * math.pi, rho)
-        if isinstance(val, spectrum.PoleMarker):
-            rows.append([_fmt(k_over_pi), "", "1"])
-        else:
-            rows.append([_fmt(k_over_pi), _fmt(val), "0"])
+    k_over_pi = np.arange(n_samples + 1) / args.samples_per_pi
+    vals = spectrum.rhs_positive(k_over_pi * math.pi, rho)
+    rows = [
+        [_fmt(k), "", "1"] if math.isnan(v) else [_fmt(k), _fmt(v), "0"]
+        for k, v in zip(k_over_pi.tolist(), vals.tolist())
+    ]
     _write_csv(args.out, DISPERSION_HEADER, rows)
     return EXIT_OK
-
-
-def _sweep_point(f_mag: float, sign: str, rho: float) -> tuple[float, str, float, float]:
-    f = f_mag if sign == "attract" else -f_mag
-    config = DimensionlessConfig.generic(rho, f)
-    gs = spectrum.ground_state(config)
-    return (f_mag, sign, rho, gs.energy * f_mag * f_mag)
 
 
 def cmd_sweep_ground(args) -> int:
     f_list = [float(tok) for tok in args.f_list.split(",") if tok]
     signs = ["attract", "repel"] if args.signs == "both" else [args.signs]
-    rhos = np.linspace(0.005, 0.995, args.rho_steps)
-    points = [(f_mag, sign, float(rho)) for f_mag in f_list for sign in signs for rho in rhos]
-    results = [_sweep_point(*p) for p in points]
-    results.sort(key=lambda r: (r[0], r[1], r[2]))
-    rows = [[_fmt(f), sign, _fmt(rho), _fmt(e)] for f, sign, rho, e in results]
+    rhos = np.linspace(0.005, 0.995, args.rho_steps).tolist()
+    blocks = [(f_mag, sign) for f_mag in f_list for sign in signs]
+    f = np.array([f_mag if sign == "attract" else -f_mag for f_mag, sign in blocks]).reshape(-1, 1)
+    e_over_eb = spectrum.ground_states(rhos, f) * f * f  # one row of rho steps per (f, sign)
+    results = [(f_mag, sign, rho, e) for (f_mag, sign), row in zip(blocks, e_over_eb.tolist()) for rho, e in zip(rhos, row)]
+    results.sort(key=lambda r: r[:3])
+    rows = [[_fmt(f_mag), sign, _fmt(rho), _fmt(e)] for f_mag, sign, rho, e in results]
     _write_csv(args.out, SWEEP_HEADER, rows)
     return EXIT_OK
 

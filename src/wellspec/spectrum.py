@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverFailure
+from .errors import PositionOutOfRange, SolverFailure
 from .model import DimensionlessConfig, RationalPosition
 
 NODAL = "nodal"
@@ -69,18 +69,6 @@ class Spectrum:
         return [s.energy for s in self.entries]
 
 
-class PoleMarker:
-    """Sentinel for a genuine pole of the ratio form of the dispersion."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "POLE"
-
-
-POLE = PoleMarker()
-
-
 def dispersion_residual(kL, config: DimensionlessConfig):
     """g(kL); zero exactly at nodal and ordinary positive-energy roots."""
     rho = config.rho
@@ -91,46 +79,68 @@ def _g_scalar(kL: float, rho: float, f: float) -> float:
     return f * kL * math.sin(kL) - 2.0 * math.sin(kL * rho) * math.sin(kL * (1.0 - rho))
 
 
-def rhs_positive(kL: float, rho: float, pole_eps: float = 1e-9):
-    """Ratio form 2 sin(kL rho) sin(kL (1-rho)) / sin(kL).
+def rhs_positive(kL, rho: float, pole_eps: float = 1e-9):
+    """Ratio form 2 sin(kL rho) sin(kL (1-rho)) / sin(kL), at one kL or an array of them.
 
-    Returns POLE where sin(kL) vanishes without the numerator; removable
-    singularities (shared zeros) are filled with the l'Hopital limit.
+    NaN marks a genuine pole, where sin(kL) vanishes without the numerator;
+    removable singularities (shared zeros) are filled with the l'Hopital limit.
     """
-    s = math.sin(kL)
-    num = 2.0 * math.sin(kL * rho) * math.sin(kL * (1.0 - rho))
-    if abs(s) < pole_eps:
-        if abs(num) < pole_eps:
-            dnum = 2.0 * (
-                rho * math.cos(kL * rho) * math.sin(kL * (1.0 - rho))
-                + (1.0 - rho) * math.sin(kL * rho) * math.cos(kL * (1.0 - rho))
-            )
-            return dnum / math.cos(kL)
-        return POLE
-    return num / s
+    kL = np.asarray(kL, dtype=float)
+    s = np.sin(kL)
+    num = 2.0 * np.sin(kL * rho) * np.sin(kL * (1.0 - rho))
+    dnum = 2.0 * (
+        rho * np.cos(kL * rho) * np.sin(kL * (1.0 - rho)) + (1.0 - rho) * np.sin(kL * rho) * np.cos(kL * (1.0 - rho))
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(np.abs(s) < pole_eps, np.where(np.abs(num) < pole_eps, dnum / np.cos(kL), np.nan), num / s)
+    return out if out.ndim else float(out)
 
 
 def rhs_negative(kappaL: float, rho: float) -> float:
     """2 sinh(kL rho) sinh(kL (1-rho)) / sinh(kL) = (cosh t - cosh(t mu)) / sinh t.
 
     Monotone increasing from 0 to 1; evaluated overflow-free for any t.
+    ``_rhs_negative_array`` takes the same three branches over arrays.
     """
     t = float(kappaL)
     if t <= 0.0:
         return 0.0
-    m = abs(2.0 * rho - 1.0)
-    if t < 0.01:
-        m2 = m * m
-        num = t * t * (1.0 - m2) / 2.0 + t**4 * (1.0 - m2 * m2) / 24.0 + t**6 * (1.0 - m2 * m2 * m2) / 720.0
-        return num / math.sinh(t)
+    # the product form has no cancellation, so it is accurate to a few ulp
+    # while the value is well below 1
+    if t < 2.0:
+        return 2.0 * math.sinh(t * rho) * math.sinh(t * (1.0 - rho)) / math.sinh(t)
     # 1 - (cosh(t mu) - e^-t) / sinh t: the deficit from 1 is computed on its
     # own, so the value stays monotone in floats where it saturates at 1
+    m = abs(2.0 * rho - 1.0)
     if t < 350.0:
         return 1.0 - (math.cosh(t * m) - math.exp(-t)) / math.sinh(t)
     # exp form: factor e^t out of numerator and denominator
     return 1.0 - (math.exp(-t * (1.0 - m)) + math.exp(-t * (1.0 + m)) - 2.0 * math.exp(-2.0 * t)) / (
         1.0 - math.exp(-2.0 * t)
     )
+
+
+def _rhs_negative_array(kappaL, rho) -> np.ndarray:
+    """``rhs_negative`` over arrays of t and rho that broadcast together."""
+    t, rho = np.asarray(kappaL, dtype=float), np.asarray(rho, dtype=float)
+    if t.shape != rho.shape:
+        t, rho = np.broadcast_arrays(t, rho)
+    out = np.zeros(t.shape)
+    low = (t > 0.0) & (t < 2.0)
+    high = ~(t < 350.0)
+    mid = (t >= 2.0) & ~high
+    tl, rl = t[low], rho[low]
+    out[low] = 2.0 * np.sinh(tl * rl) * np.sinh(tl * (1.0 - rl)) / np.sinh(tl)
+    tm = t[mid]
+    m = np.abs(2.0 * rho[mid] - 1.0)
+    out[mid] = 1.0 - (np.cosh(tm * m) - np.exp(-tm)) / np.sinh(tm)
+    if high.any():
+        th = t[high]
+        m = np.abs(2.0 * rho[high] - 1.0)
+        out[high] = 1.0 - (np.exp(-th * (1.0 - m)) + np.exp(-th * (1.0 + m)) - 2.0 * np.exp(-2.0 * th)) / (
+            1.0 - np.exp(-2.0 * th)
+        )
+    return out
 
 
 def negative_residual(kappaL: float, config: DimensionlessConfig) -> float:
@@ -375,7 +385,7 @@ def ground_state(
         return neg
     f, rho = config.f, config.rho
     fc = _threshold_coupling(rho)
-    if f > 0.0 and abs(f - fc) <= 1e-10:
+    if f == fc:
         return EigenState(ORDINARY_POSITIVE, 0.0, 0.0, 0.0)
     # the lowest bracket of find_ordinary_positive, solved in scalar code
     g = lambda t: _g_scalar(t, rho, f)
@@ -391,6 +401,88 @@ def ground_state(
     if res > opts.residual_tol * max(1.0, abs(f) * root):
         raise SolverFailure(f"root polish left residual {res:.3e} at kL={root}", (root, root))
     return EigenState(ORDINARY_POSITIVE, root, root * root, res)
+
+
+def ground_states(rho, f, opts: SolverOptions = DEFAULT_OPTIONS) -> np.ndarray:
+    """Ground-state energies of the generic configurations (rho[i], f[i]), solved together.
+
+    ``rho`` and ``f`` broadcast together; the energies come back in their
+    shape.  Each point gets the bracket ``ground_state`` solves:
+
+    * 0 < f, fc - f > 1e-10 (fc = 2 rho (1 - rho)): the bound root of
+      f t - rhs_negative(t) on (1e-9, 4 max(1, 1/f)), lower sign -1;
+    * 0 < fc - f <= 1e-10: the series root t = sqrt((fc - f) / c4);
+    * f == fc: the marginal zero;
+    * f > fc: the scalar ``_small_positive_root`` where its series applies
+      (c4 > 0 and t_est < 0.5), otherwise g on (0, pi), lower sign +1;
+    * f < 0: g on (pi, 2 pi), lower sign -1.
+
+    Every bracket is solved by one ``bisect_brackets`` call, and every root
+    carries the residual certificate of the scalar path.
+    """
+    rho, f = np.broadcast_arrays(np.asarray(rho, dtype=float), np.asarray(f, dtype=float))
+    shape = rho.shape
+    rho, f = rho.ravel(), f.ravel()
+    outside = ~((rho > 0.0) & (rho < 1.0))
+    if outside.any():
+        raise PositionOutOfRange(f"rho={rho[outside][0]} must lie strictly inside (0, 1)")
+    if np.any((f == 0.0) | np.isnan(f)):
+        raise ValueError("coupling f must be a nonzero real")
+    fc = _threshold_coupling(rho)
+    c4 = _quartic_coeff(rho, f)
+    with np.errstate(divide="ignore", invalid="ignore"):  # NaN where (f - fc) / c4 < 0, and at f = inf
+        series = (c4 > 0.0) & (np.sqrt((f - fc) / c4) < 0.5)
+    near = (f > 0.0) & (f < fc) & (fc - f <= 1e-10)
+    b = np.flatnonzero((f > 0.0) & (fc - f > 1e-10))
+    u = np.flatnonzero((f > fc) & ~series)
+    r = np.flatnonzero(f < 0.0)
+    small = np.flatnonzero((f > fc) & series)
+
+    g = lambda k, rk, fk: fk * k * np.sin(k) - 2.0 * np.sin(k * rk) * np.sin(k * (1.0 - rk))
+    points = np.concatenate((b, u, r))
+    rb, fb = rho[points], f[points]
+
+    def residual(x, idx):
+        # idx is ascending, so the bound brackets (numbered below b.size) lead
+        n = np.searchsorted(idx, b.size)
+        out = np.empty(x.size)
+        if n:
+            out[:n] = fb[idx[:n]] * x[:n] - _rhs_negative_array(x[:n], rb[idx[:n]])
+        if n < x.size:
+            out[n:] = g(x[n:], rb[idx[n:]], fb[idx[n:]])
+        return out
+
+    lo = np.concatenate((np.full(b.size, 1e-9), np.zeros(u.size), np.full(r.size, math.pi)))
+    hi = np.concatenate((4.0 * np.maximum(1.0, 1.0 / f[b]), np.full(u.size, math.pi), np.full(r.size, 2.0 * math.pi)))
+    sign = np.concatenate((np.full(b.size, -1.0), np.ones(u.size), np.full(r.size, -1.0)))
+    bound = np.arange(b.size)
+    bad = np.flatnonzero((residual(lo[bound], bound) >= 0.0) | (residual(hi[bound], bound) <= 0.0))
+    if bad.size:
+        i = bad[0]
+        raise SolverFailure(f"negative-root bracket invalid for f={fb[i]}, rho={rb[i]}", (lo[i], hi[i]))
+    roots = bisect_brackets(residual, lo, hi, sign, opts.max_bisect)
+
+    t = roots[: b.size]
+    res = np.abs(residual(t, bound))
+    bad = np.flatnonzero(res > opts.residual_tol)
+    if bad.size:
+        i = bad[0]
+        raise SolverFailure(f"negative root residual {res[i]:.3e}", (lo[i], hi[i]))
+    pos = np.concatenate((points[b.size :], small))
+    k_small = [_small_positive_root(DimensionlessConfig.generic(rho[i], float(f[i])), opts).k for i in small.tolist()]
+    k = np.concatenate((roots[b.size :], k_small))
+    res = np.abs(g(k, rho[pos], f[pos]))
+    bad = np.flatnonzero(res > opts.residual_tol * np.maximum(1.0, np.abs(f[pos]) * k))
+    if bad.size:
+        root = float(k[bad[0]])
+        raise SolverFailure(f"root polish left residual {res[bad[0]]:.3e} at kL={root}", (root, root))
+
+    energy = np.zeros(rho.size)  # the marginal zero stays where f == fc
+    energy[b] = -t * t
+    t_near = np.sqrt((fc[near] - f[near]) / c4[near])
+    energy[near] = -t_near * t_near
+    energy[pos] = k * k
+    return energy.reshape(shape)
 
 
 def full_spectrum(

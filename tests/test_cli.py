@@ -102,6 +102,17 @@ class TestExitCodes:
         assert rc == 3
         assert "bracket" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("f_list", ["0", "nan", "0.1,0"])
+    def test_sweep_invalid_coupling_is_usage_error(self, f_list, capsys):
+        assert main(["sweep-ground", "--f-list", f_list, "--rho-steps", "5"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_sweep_residual_certificate_exit_3(self, monkeypatch, capsys):
+        # midpoints of the brackets are no roots, so the array certificate must refuse them
+        monkeypatch.setattr(wellspec.spectrum, "bisect_brackets", lambda fn, lo, hi, sign, max_iter: 0.5 * (lo + hi))
+        assert main(["sweep-ground", "--f-list", "0.4", "--rho-steps", "5"]) == 3
+        assert "residual" in capsys.readouterr().err
+
     def test_check_failure_exit_4(self, capsys):
         rc = main(
             ["check", "--rho", "1/2", "--f", "-0.2", "--count", "6", "--kmax", "8",
@@ -118,6 +129,14 @@ class TestExitCodes:
 
 
 class TestDispersionCurve:
+    def test_one_array_evaluation_per_invocation(self, monkeypatch, capsys):
+        calls = []
+        rhs = wellspec.spectrum.rhs_positive
+        monkeypatch.setattr(wellspec.spectrum, "rhs_positive", lambda *a: calls.append(1) or rhs(*a))
+        assert main(["dispersion-curve", "--rho", "2/5", "--kmax", "9"]) == 0
+        assert len(calls) == 1
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 9 * 400 + 1
+
     def test_removable_point_finite(self, tmp_path):
         out = tmp_path / "d.csv"
         main(["dispersion-curve", "--rho", "2/5", "--kmax", "9", "--samples-per-pi", "40", "--out", str(out)])
@@ -169,6 +188,14 @@ class TestSpectrumCommand:
 
 
 class TestSweepCommand:
+    def test_one_batched_solve_per_invocation(self, monkeypatch, capsys):
+        calls = []
+        solve = wellspec.spectrum.bisect_brackets
+        monkeypatch.setattr(wellspec.spectrum, "bisect_brackets", lambda *a: calls.append(1) or solve(*a))
+        assert main(["sweep-ground", "--f-list", "0.1,0.4,0.5", "--signs", "both", "--rho-steps", "21"]) == 0
+        assert len(calls) == 1
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 3 * 2 * 21
+
     def test_anchor_values(self, tmp_path):
         out = tmp_path / "sw.csv"
         main(["sweep-ground", "--f-list", "0.1,0.5", "--signs", "attract", "--rho-steps", "199", "--out", str(out)])

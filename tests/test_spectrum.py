@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import wellspec as ws
+import wellspec.spectrum
 
 
 def _exact(p, n, f):
@@ -51,12 +52,19 @@ class TestRhsPositive:
     def test_removable_singularity(self):
         # shared zero of numerator and denominator at kL = 5 pi for rho = 2/5
         val = ws.rhs_positive(5.0 * math.pi, 0.4)
-        assert not isinstance(val, ws.PoleMarker)
+        assert not math.isnan(val)
         near = 0.5 * (ws.rhs_positive(5.0 * math.pi + 1e-6, 0.4) + ws.rhs_positive(5.0 * math.pi - 1e-6, 0.4))
         assert val == pytest.approx(near, abs=1e-9)
 
     def test_genuine_pole(self):
-        assert isinstance(ws.rhs_positive(math.pi, 0.415), ws.PoleMarker)
+        assert math.isnan(ws.rhs_positive(math.pi, 0.415))
+
+    @pytest.mark.parametrize("rho", [0.4, 0.415, 0.5])
+    def test_array_matches_scalar_calls(self, rho):
+        ks = np.arange(3601) / 400.0 * math.pi  # the dispersion-curve grid, with poles and removable points
+        vals = ws.rhs_positive(ks, rho)
+        np.testing.assert_array_equal(vals, [ws.rhs_positive(float(k), rho) for k in ks])
+        assert np.isnan(vals).any()
 
     def test_center_quarter_period(self):
         assert ws.rhs_positive(0.5 * math.pi, 0.5) == pytest.approx(1.0, abs=1e-14)
@@ -83,9 +91,29 @@ class TestRhsNegative:
         if lo < 1.0 - 1e-12:  # strict until the asymptote saturates in floats
             assert hi > lo
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(1e-6, 1.0 - 1e-6),
+        st.one_of(st.floats(1e-6, 1e4), st.sampled_from([0.01, 2.0, 350.0])),
+    )
+    def test_array_form_matches_scalar_and_is_monotone(self, rho, t):
+        ts = t * (1.0 + np.linspace(-1e-3, 1e-3, 41))  # straddles a branch seam when drawn at one
+        arr = wellspec.spectrum._rhs_negative_array(ts, rho)
+        scalar = np.array([ws.rhs_negative(float(x), rho) for x in ts])
+        # numpy's exp, cosh and sinh may each round one ulp away from libm's, and
+        # the three roundings after them may then differ by half an ulp each.
+        # From t = 2 both forms subtract the deficit (cosh(t mu) - e^-t)/sinh t
+        # from 1, so there the ulp is of its largest term (sinh capped below
+        # overflow). The worst gap seen over 1.8M random points was 4.0 eps times the scale.
+        m = abs(2.0 * rho - 1.0)
+        tc = np.minimum(ts, 349.0)
+        scale = np.where(ts < 2.0, scalar, np.maximum(scalar, (np.cosh(tc * m) + np.exp(-tc)) / np.sinh(tc)))
+        assert np.all(np.abs(arr - scalar) <= 6.0 * np.finfo(float).eps * scale)
+        assert np.all(np.diff(arr) >= 0.0)
+
     def test_branches_agree_at_seams(self):
         for rho in (0.5, 0.21):
-            for t in (0.00999, 0.01001, 349.9, 350.1):
+            for t in (0.00999, 0.01001, 1.999, 2.001, 349.9, 350.1):
                 direct = 2.0 * math.sinh(t * rho) * math.sinh(t * (1 - rho)) / math.sinh(t)
                 assert ws.rhs_negative(t, rho) == pytest.approx(direct, rel=1e-12)
 
@@ -158,6 +186,14 @@ class TestFindNegativeRoot:
                 got = ws.find_negative_root(_gen(float(rho), float(f))) is not None
                 assert got == (f < 2.0 * rho * (1.0 - rho))
 
+    def test_near_threshold_root_is_accurate(self):
+        # 1e-6 below the binding threshold the root is kappa L = 0.0105, where
+        # rhs_negative must not be a difference of terms near 1. The reference is
+        # a 50-digit mpmath root of the same equation at the same float inputs;
+        # the conditioning, eps fc / (fc - f), allows ~5e-11 relative.
+        cfg = _gen(0.135, 2.0 * 0.135 * (1.0 - 0.135) - 1e-6)
+        assert ws.find_negative_root(cfg).k == pytest.approx(0.010488121695145623539, rel=1e-9)
+
     def test_scaled_residual_certificate(self):
         s = ws.find_negative_root(_gen(0.33, 0.2))
         cfg = _gen(0.33, 0.2)
@@ -186,9 +222,9 @@ class TestGroundState:
         "cfg",
         [_gen(rho, f) for rho in (0.13, 0.5, 0.71) for f in (-50.0, -2.0, -0.3, -0.05, 0.05, 0.3, 2.0, 50.0)]
         + [_exact(p, n, f) for p, n in ((1, 2), (2, 5)) for f in (-50.0, -0.3, -0.01, 0.01, 0.3, 50.0)]
-        # within 1e-6 of the binding threshold, outside the 1e-10 band reported as the marginal zero
-        + [_gen(rho, 2.0 * rho * (1.0 - rho) + df) for rho in (0.13, 0.5) for df in (-1e-6, -1e-8, 1e-8, 1e-6)]
-        + [_exact(1, 2, 0.5 + df) for df in (-1e-6, 1e-8, 1e-6)],
+        # near the binding threshold; only f == 2 rho (1 - rho) itself is the marginal zero
+        + [_gen(rho, 2.0 * rho * (1.0 - rho) + df) for rho in (0.13, 0.3, 0.5) for df in (-1e-6, -1e-8, 1e-8, 5e-11, 1e-6)]
+        + [_exact(1, 2, 0.5 + df) for df in (-1e-6, 5e-11, 1e-8, 1e-6)],
         ids=repr,
     )
     def test_matches_lowest_spectrum_entry(self, cfg):
@@ -197,6 +233,30 @@ class TestGroundState:
         e0 = ws.full_spectrum(cfg, 4.0 * math.pi).entries[0]
         assert g.kind == e0.kind
         assert g.energy == pytest.approx(e0.energy, rel=1e-12)
+
+    def test_batched_matches_scalar(self):
+        rho = np.linspace(0.005, 0.995, 199)
+        fc = 2.0 * rho * (1.0 - rho)
+        # |f| = 1e-3 binds at kappa L ~ 1e3, past the exp branch of rhs_negative at 350
+        fs = [np.full(rho.size, sign * mag) for mag in np.logspace(-3.0, 2.0, 11) for sign in (1.0, -1.0)]
+        fs += [fc + df for df in (-1e-6, 1e-6, -1e-8, 1e-8, -5e-11, 5e-11)]
+        fs += [np.full(rho.size, math.inf), np.full(rho.size, -math.inf)]
+        rhos, f = np.tile(rho, len(fs)), np.concatenate(fs)
+        batched = ws.ground_states(rhos, f)
+        scalar = np.array([ws.ground_state(_gen(r, x)).energy for r, x in zip(rhos.tolist(), f.tolist())])
+        fin = np.isfinite(f)
+        got, want = batched[fin] * f[fin] ** 2, scalar[fin] * f[fin] ** 2
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+        assert np.array_equal(batched[~fin], scalar[~fin])
+
+    @pytest.mark.parametrize(
+        "rho, f, error",
+        [(0.0, 0.3, ws.PositionOutOfRange), (1.0, 0.3, ws.PositionOutOfRange), (math.nan, 0.3, ws.PositionOutOfRange),
+         (0.3, 0.0, ValueError), (0.3, math.nan, ValueError)],
+    )
+    def test_batched_rejects_what_the_config_rejects(self, rho, f, error):
+        with pytest.raises(error):
+            ws.ground_states([0.5, rho], [0.3, f])
 
     def test_continuity_across_crossing(self):
         es = [ws.ground_state(_exact(1, 2, f)).energy for f in (0.49, 0.5, 0.51)]
