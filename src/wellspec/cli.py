@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -243,7 +244,13 @@ def _add_rho_f_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--f", type=float, required=True, help="dimensionless coupling Lambda/L")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Parsing does not change it: it has no ``append`` actions and no mutable
+    defaults, so every call of ``main`` reuses it.
+    """
     parser = argparse.ArgumentParser(prog="wellspec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -6,11 +6,11 @@ The Hamiltonian is diagonal plus rank one in this basis:
 
 so rows whose sine factor vanishes decouple exactly (the nodal sector for
 rational positions).  Eigenvalues of the coupled sector are roots of the
-rank-one secular function, solved here by one vectorized bisection between
-interlacing poles (the bracket solver the exact dispersion also uses); a
-cyclic Jacobi sweep is provided as a second, dense eigensolver used to verify
-the secular path.  Both are in-repo: the oracle never leans on an external
-eigensolver.
+rank-one secular function, solved here by one vectorized safeguarded Newton
+between interlacing poles (the bracket solver the exact dispersion also
+uses); a cyclic Jacobi sweep is provided as a second, dense eigensolver used
+to verify the secular path.  Both are in-repo: the oracle never leans on an
+external eigensolver.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure
 from .model import DimensionlessConfig
-from .spectrum import bisect_brackets
+from .spectrum import solve_brackets
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,12 @@ def lowest_eigenvalues(matrix: SineBasisMatrix, count: int) -> list[float]:
     n_secular = min(count, n_coupled)
 
     def secular(lam, _):
-        terms = d - lam[:, None]
-        np.divide(u2, terms, out=terms)  # in place: one (roots x m) temporary, not two
-        return 1.0 + sigma * terms.sum(axis=1)
+        # w = 1 + sigma sum u^2 / (d - lam) and w' = sigma sum u^2 / (d - lam)^2
+        gap = d - lam[:, None]
+        terms = u2 / gap
+        w = 1.0 + sigma * terms.sum(axis=1)
+        terms /= gap
+        return w, sigma * terms.sum(axis=1)
 
     reach = sigma * float(np.sum(u2))  # Weyl bound on the outermost root's shift
     if sigma < 0.0:
@@ -93,7 +96,7 @@ def lowest_eigenvalues(matrix: SineBasisMatrix, count: int) -> list[float]:
         lo = d[:n_secular]
         hi = np.concatenate((d[1 : n_secular + 1], [d[-1] + reach]))[:n_secular]
         lo_sign = -1.0
-    roots = bisect_brackets(secular, lo, hi, lo_sign).tolist()
+    roots = solve_brackets(secular, lo, hi, lo_sign).tolist()
     merged = sorted(roots + deflated[:count])
     if len(merged) < count:
         raise ConvergenceFailure(f"only {len(merged)} eigenvalues available below request {count}")

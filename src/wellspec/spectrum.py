@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +31,7 @@ DEFAULT_K_MAX = 20.0 * math.pi
 _EPS = 2.220446049250313e-16
 
 
-@dataclass(frozen=True)
-class EigenState:
+class EigenState(NamedTuple):
     """One spectrum entry.
 
     ``k`` is kL for the positive kinds and kappa*L for the negative kind.
@@ -120,27 +122,34 @@ def rhs_negative(kappaL: float, rho: float) -> float:
     )
 
 
-def _rhs_negative_array(kappaL, rho) -> np.ndarray:
-    """``rhs_negative`` over arrays of t and rho that broadcast together."""
+def _rhs_negative_array(kappaL, rho) -> tuple[np.ndarray, np.ndarray]:
+    """``rhs_negative`` and its slope in kappaL, over arrays of t and rho that broadcast together."""
     t, rho = np.asarray(kappaL, dtype=float), np.asarray(rho, dtype=float)
     if t.shape != rho.shape:
         t, rho = np.broadcast_arrays(t, rho)
-    out = np.zeros(t.shape)
+    out, slope = np.zeros(t.shape), np.zeros(t.shape)
     low = (t > 0.0) & (t < 2.0)
     high = ~(t < 350.0)
     mid = (t >= 2.0) & ~high
     tl, rl = t[low], rho[low]
-    out[low] = 2.0 * np.sinh(tl * rl) * np.sinh(tl * (1.0 - rl)) / np.sinh(tl)
+    a, b, s = np.sinh(tl * rl), np.sinh(tl * (1.0 - rl)), np.sinh(tl)
+    out[low] = value = 2.0 * a * b / s
+    ca, cb = np.cosh(tl * rl), np.cosh(tl * (1.0 - rl))
+    slope[low] = (2.0 * (rl * ca * b + (1.0 - rl) * a * cb) - value * np.cosh(tl)) / s
     tm = t[mid]
     m = np.abs(2.0 * rho[mid] - 1.0)
-    out[mid] = 1.0 - (np.cosh(tm * m) - np.exp(-tm)) / np.sinh(tm)
+    e, s = np.exp(-tm), np.sinh(tm)
+    deficit = (np.cosh(tm * m) - e) / s
+    out[mid] = 1.0 - deficit
+    slope[mid] = (deficit * (s + e) - m * np.sinh(tm * m) - e) / s  # cosh t = sinh t + e^-t
     if high.any():
         th = t[high]
         m = np.abs(2.0 * rho[high] - 1.0)
-        out[high] = 1.0 - (np.exp(-th * (1.0 - m)) + np.exp(-th * (1.0 + m)) - 2.0 * np.exp(-2.0 * th)) / (
-            1.0 - np.exp(-2.0 * th)
-        )
-    return out
+        e1, e2, e3 = np.exp(-th * (1.0 - m)), np.exp(-th * (1.0 + m)), np.exp(-2.0 * th)
+        deficit = (e1 + e2 - 2.0 * e3) / (1.0 - e3)
+        out[high] = 1.0 - deficit
+        slope[high] = ((1.0 - m) * e1 + (1.0 + m) * e2 - 4.0 * e3 + 2.0 * deficit * e3) / (1.0 - e3)
+    return out, slope
 
 
 def negative_residual(kappaL: float, config: DimensionlessConfig) -> float:
@@ -176,49 +185,135 @@ def _bisect(fn, lo: float, hi: float, flo: float, fhi: float, max_iter: int) -> 
     return 0.5 * (lo + hi)
 
 
-def bisect_brackets(fn, lo, hi, lo_sign, max_iter: int = DEFAULT_OPTIONS.max_bisect) -> np.ndarray:
-    """Bisect ``fn`` on every bracket (lo[i], hi[i]) at once, to machine-relative width.
+def solve_brackets(fn, lo, hi, lo_sign, max_iter: int = DEFAULT_OPTIONS.max_bisect) -> np.ndarray:
+    """The root of ``fn`` on every bracket (lo[i], hi[i]), solved at once by safeguarded Newton.
 
-    ``fn(x, idx)`` returns the values at the points ``x`` of the brackets
-    numbered ``idx``.  ``lo_sign`` (a scalar or one entry per bracket) is the
-    sign of ``fn`` just inside lo[i]; ``fn`` has the opposite sign just inside
-    hi[i].  The endpoints are never evaluated, so a bracket may end on a pole,
-    or on a rounded multiple of pi where ``fn`` rounds to the wrong sign.  A
-    bracket leaves the working set once it is converged, so its midpoint never
-    rounds onto an endpoint.
+    ``fn(x, idx)`` returns the values and the slopes at the points ``x`` of the
+    brackets numbered ``idx`` (ascending, possibly repeated).  ``lo_sign`` (a
+    scalar or one entry per bracket) is the sign of ``fn`` just inside lo[i];
+    ``fn`` has the opposite sign just inside hi[i].  The given endpoints are
+    never evaluated, so a bracket may end on a pole, or on a rounded multiple
+    of pi where ``fn`` rounds to the wrong sign.
+
+    Each pass evaluates every open bracket at its iterate and narrows the
+    bracket by the sign; an exact zero closes it.  The next iterate is the
+    Newton point when it lies inside the bracket and its step is at most half
+    the step before last (the safeguard of Numerical Recipes' ``rtsafe``).
+    Otherwise the iterate moves from the end it just set toward the other
+    end: by twice the step right after a Newton step, so that a stall at the
+    rounding floor straddles the root, and to the midpoint after that.
+
+    With tol = 4 eps max(1, |x|), a bracket is done once its width or its
+    Newton step is within tol; the root is then the midpoint, or the Newton
+    point clipped to the bracket.  A Newton root must show a sign change, or
+    a zero, across root -+ tol.  A bracket that fails this certificate is
+    bisected from the ends its iterates set, stepping out from the failed
+    side by doubling distances first, so bisection stays the safeguard.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
-    sign = np.broadcast_to(np.asarray(lo_sign, dtype=float), lo.shape)
-    idx = np.arange(lo.size)
+    sign0 = np.broadcast_to(np.asarray(lo_sign, dtype=float), lo.shape)
     out = np.empty(lo.size)
+    idx, sign = np.arange(lo.size), sign0
+    x = 0.5 * (lo + hi)
+    last = before = hi - lo  # sizes of the last two steps
+    found = []  # (idx, root, lo, hi) of the Newton roots
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            if not idx.size:
+                break
+            v, dv = fn(x, idx)
+            vs = v * sign
+            lo = np.where(vs >= 0.0, x, lo)
+            hi = np.where(vs > 0.0, hi, x)
+            step = -v / dv
+            size = np.abs(step)
+            tol = 4.0 * _EPS * np.maximum(1.0, np.abs(x))
+            xn = x + step
+            done = (size <= tol) | (hi - lo <= tol)
+            if done.any():
+                l, h, t = lo[done], hi[done], tol[done]
+                found.append((idx[done], np.where(h - l <= t, 0.5 * (l + h), np.clip(xn[done], l, h)), l, h))
+                keep = ~done
+                idx, sign, x, lo, hi, xn, size, vs, last, before = (
+                    a[keep] for a in (idx, sign, x, lo, hi, xn, size, vs, last, before)
+                )
+            take = (size <= 0.5 * before) & (xn > lo) & (xn < hi)
+            half = 0.5 * (hi - lo)
+            move = np.fmin(2.0 * np.fmax(size, last), half)  # fmax: a NaN step counts as none
+            x = np.where(take, xn, x + np.where(vs > 0.0, move, -move))
+            before, last = last, np.where(take, size, half)
+        else:
+            found.append((idx, 0.5 * (lo + hi), lo, hi))  # unconverged: left to the certificate
+    if not found:
+        return out
+    idx, root, lo, hi = (np.concatenate(a) for a in zip(*found))
+    order = np.argsort(idx)
+    idx, root, lo, hi = idx[order], root[order], lo[order], hi[order]
+    out[idx] = root
+
+    # the certificate evaluates root -+ tol where it lies inside the narrowed bracket
+    tol = 4.0 * _EPS * np.maximum(1.0, np.abs(root))
+    pts = np.stack((root - tol, root + tol), axis=1)
+    inside = np.stack((pts[:, 0] > lo, pts[:, 1] < hi), axis=1)
+    at = np.repeat(idx, 2)[inside.ravel()]
+    side = np.zeros(pts.shape)
+    side[inside] = fn(pts[inside], at)[0] * sign0[at]
+    down = ~(side[:, 0] >= 0.0)  # root - tol lies past the root (or fn is NaN there)
+    up = ~down & ~(side[:, 1] <= 0.0)  # root + tol lies short of it
+    failed = down | up
+    if not failed.any():
+        return out
+    hi = np.where(down, pts[:, 0], hi)[failed]
+    lo = np.where(up, pts[:, 1], lo)[failed]
+    idx, down, reach, sign = idx[failed], down[failed], 2.0 * tol[failed], sign0[idx[failed]]
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
-        done = hi - lo <= 4.0 * _EPS * np.maximum(1.0, np.abs(mid))
-        if done.any():
-            out[idx[done]] = mid[done]
-            keep = ~done
-            lo, hi, mid, sign, idx = lo[keep], hi[keep], mid[keep], sign[keep], idx[keep]
+        narrow = hi - lo <= 4.0 * _EPS * np.maximum(1.0, np.abs(mid))
+        if narrow.any():
+            out[idx[narrow]] = mid[narrow]
+            keep = ~narrow
+            idx, sign, lo, hi, mid, down, reach = (a[keep] for a in (idx, sign, lo, hi, mid, down, reach))
         if not idx.size:
             break
-        right = fn(mid, idx) * sign > 0.0
-        lo = np.where(right, mid, lo)
-        hi = np.where(right, hi, mid)
-    out[idx] = 0.5 * (lo + hi)
+        x = np.where(down, np.maximum(hi - reach, mid), np.minimum(lo + reach, mid))
+        vs = fn(x, idx)[0] * sign
+        lo = np.where(vs >= 0.0, x, lo)
+        hi = np.where(vs > 0.0, hi, x)
+        reach = 2.0 * reach
+    else:
+        out[idx] = 0.5 * (lo + hi)
     return out
 
 
+def _residual_and_slope(kL, rho, f):
+    """g(kL) and its slope g'(kL); rho and f may be arrays.
+
+    The slope differentiates 2 sin(kL rho) sin(kL (1 - rho)) = cos(kL mu) - cos(kL),
+    mu = 1 - 2 rho, which takes two more sines and cosines where the product
+    form would take three.
+    """
+    s, sa, sb = np.sin(kL), np.sin(kL * rho), np.sin(kL * (1.0 - rho))
+    mu = 1.0 - 2.0 * rho
+    return f * kL * s - 2.0 * sa * sb, f * (s + kL * np.cos(kL)) - s + mu * np.sin(kL * mu)
+
+
 def _deflated_residual(d, center, config: DimensionlessConfig):
-    """G(d) = (-1)^c g(c pi + d) / d at a nodal multiple c of pi (exact positions).
+    """G(d) = (-1)^c g(c pi + d) / d at a nodal multiple c of pi (exact positions), and G'(d).
 
     With c rho an integer, g(c pi + d) = (-1)^c [f (c pi + d) sin d
     - 2 sin(d rho) sin(d (1 - rho))], so dividing out the nodal zero at d = 0
     leaves G(0) = f c pi and G(-pi) > 0 > G(pi).  The companion root of the
     nodal level therefore lies on the side of d given by the sign of f.
+    Writing P(d) = d G(d) for the bracketed form, G' = (P' - G) / d.
     Works on scalars and arrays alike.
     """
     rho, f = config.rho, config.f
-    return f * (center * math.pi + d) * np.sin(d) / d - 2.0 * np.sin(d * rho) * np.sin(d * (1.0 - rho)) / d
+    k = center * math.pi + d
+    sd, sa, sb = np.sin(d), np.sin(d * rho), np.sin(d * (1.0 - rho))
+    value = f * k * sd / d - 2.0 * sa * sb / d
+    dp = f * (sd + k * np.cos(d)) - 2.0 * (rho * np.cos(d * rho) * sb + (1.0 - rho) * sa * np.cos(d * (1.0 - rho)))
+    return value, (dp - value) / d
 
 
 def _threshold_coupling(rho: float) -> float:
@@ -247,7 +342,7 @@ def _small_positive_root(config: DimensionlessConfig, opts: SolverOptions) -> Ei
         return None
     t_est = math.sqrt((f - fc) / c4)
     if not t_est < 0.5:
-        return None  # far from threshold (or f = inf); bisection on (0, pi) resolves it
+        return None  # far from threshold (or f = inf); the (0, pi) bracket resolves it
     if f - fc <= 1e-10:
         # below the cancellation floor of g; the series root is sharper
         return EigenState(ORDINARY_POSITIVE, t_est, t_est * t_est, abs(_g_scalar(t_est, rho, f)))
@@ -307,7 +402,7 @@ def find_ordinary_positive(
       ordinary companion, on the side of c pi given by the sign of f, and it
       is solved in the deflated form ``_deflated_residual``.
 
-    Every bracket is solved at once by ``bisect_brackets``, with endpoint
+    Every bracket is solved at once by ``solve_brackets``, with endpoint
     signs from this count rather than from g at a rounded multiple of pi.
     The interval holding k_max is solved whole and its root kept when it lies
     below k_max, which is the rule sign g(k_max) != (-1)^M for the partial
@@ -325,19 +420,23 @@ def find_ordinary_positive(
         m = m[((m % n != 0) | (m == 0)) & ((m + 1) % n != 0)]  # intervals beside no nodal level
         centers = np.arange(n, top + 2, n, dtype=float)
 
-    g = lambda k, _: dispersion_residual(k, config)
-    roots = bisect_brackets(g, m * math.pi, (m + 1) * math.pi, 1.0 - 2.0 * (m % 2), opts.max_bisect)
+    g = lambda k, _: _residual_and_slope(k, rho, f)
+    roots = solve_brackets(g, m * math.pi, (m + 1) * math.pi, 1.0 - 2.0 * (m % 2), opts.max_bisect)
     if small is not None:
         roots = np.concatenate(([small.k], roots))
     roots = roots[_keep_as_ordinary(roots, config, opts)]
     if centers.size:
         side = (0.0, math.pi) if f > 0.0 else (-math.pi, 0.0)
         deflated = lambda d, i: _deflated_residual(d, centers[i], config)
-        d = bisect_brackets(deflated, np.full(centers.size, side[0]), np.full(centers.size, side[1]), 1.0, opts.max_bisect)
+        ends = np.full(centers.size, side[0]), np.full(centers.size, side[1])
+        d = solve_brackets(deflated, *ends, 1.0, opts.max_bisect)
         roots = np.sort(np.concatenate((roots, centers * math.pi + d)))
     roots = roots[roots <= k_max]
     res = _certify(roots, config, opts)
-    return [EigenState(ORDINARY_POSITIVE, k, k * k, r) for k, r in zip(roots.tolist(), res.tolist())]
+    # tuple.__new__ builds the entries without the named tuple's Python-level __new__
+    energy = roots * roots
+    rows = zip(repeat(ORDINARY_POSITIVE), roots.tolist(), energy.tolist(), res.tolist(), repeat(None), repeat(None))
+    return list(map(tuple.__new__, repeat(EigenState), rows))
 
 
 def enumerate_nodal(pos: RationalPosition, k_max: float) -> list[EigenState]:
@@ -393,7 +492,7 @@ def ground_state(
         small = _small_positive_root(config, opts)
         root = small.k if small is not None else _bisect(g, 0.0, math.pi, 1.0, -1.0, opts.max_bisect)
     elif config.is_exact and config.rational.n == 2:
-        deflated = lambda d: float(_deflated_residual(d, 2, config))
+        deflated = lambda d: float(_deflated_residual(d, 2, config)[0])
         root = 2.0 * math.pi + _bisect(deflated, -math.pi, 0.0, 1.0, -1.0, opts.max_bisect)
     else:
         root = _bisect(g, math.pi, 2.0 * math.pi, -1.0, 1.0, opts.max_bisect)
@@ -417,7 +516,7 @@ def ground_states(rho, f, opts: SolverOptions = DEFAULT_OPTIONS) -> np.ndarray:
       (c4 > 0 and t_est < 0.5), otherwise g on (0, pi), lower sign +1;
     * f < 0: g on (pi, 2 pi), lower sign -1.
 
-    Every bracket is solved by one ``bisect_brackets`` call, and every root
+    Every bracket is solved by one ``solve_brackets`` call, and every root
     carries the residual certificate of the scalar path.
     """
     rho, f = np.broadcast_arrays(np.asarray(rho, dtype=float), np.asarray(f, dtype=float))
@@ -438,32 +537,33 @@ def ground_states(rho, f, opts: SolverOptions = DEFAULT_OPTIONS) -> np.ndarray:
     r = np.flatnonzero(f < 0.0)
     small = np.flatnonzero((f > fc) & series)
 
-    g = lambda k, rk, fk: fk * k * np.sin(k) - 2.0 * np.sin(k * rk) * np.sin(k * (1.0 - rk))
     points = np.concatenate((b, u, r))
     rb, fb = rho[points], f[points]
 
     def residual(x, idx):
         # idx is ascending, so the bound brackets (numbered below b.size) lead
         n = np.searchsorted(idx, b.size)
-        out = np.empty(x.size)
+        out, slope = np.empty(x.size), np.empty(x.size)
         if n:
-            out[:n] = fb[idx[:n]] * x[:n] - _rhs_negative_array(x[:n], rb[idx[:n]])
+            fk = fb[idx[:n]]
+            rhs, drhs = _rhs_negative_array(x[:n], rb[idx[:n]])
+            out[:n], slope[:n] = fk * x[:n] - rhs, fk - drhs
         if n < x.size:
-            out[n:] = g(x[n:], rb[idx[n:]], fb[idx[n:]])
-        return out
+            out[n:], slope[n:] = _residual_and_slope(x[n:], rb[idx[n:]], fb[idx[n:]])
+        return out, slope
 
     lo = np.concatenate((np.full(b.size, 1e-9), np.zeros(u.size), np.full(r.size, math.pi)))
     hi = np.concatenate((4.0 * np.maximum(1.0, 1.0 / f[b]), np.full(u.size, math.pi), np.full(r.size, 2.0 * math.pi)))
     sign = np.concatenate((np.full(b.size, -1.0), np.ones(u.size), np.full(r.size, -1.0)))
     bound = np.arange(b.size)
-    bad = np.flatnonzero((residual(lo[bound], bound) >= 0.0) | (residual(hi[bound], bound) <= 0.0))
+    bad = np.flatnonzero((residual(lo[bound], bound)[0] >= 0.0) | (residual(hi[bound], bound)[0] <= 0.0))
     if bad.size:
         i = bad[0]
         raise SolverFailure(f"negative-root bracket invalid for f={fb[i]}, rho={rb[i]}", (lo[i], hi[i]))
-    roots = bisect_brackets(residual, lo, hi, sign, opts.max_bisect)
+    roots = solve_brackets(residual, lo, hi, sign, opts.max_bisect)
 
     t = roots[: b.size]
-    res = np.abs(residual(t, bound))
+    res = np.abs(residual(t, bound)[0])
     bad = np.flatnonzero(res > opts.residual_tol)
     if bad.size:
         i = bad[0]
@@ -471,7 +571,7 @@ def ground_states(rho, f, opts: SolverOptions = DEFAULT_OPTIONS) -> np.ndarray:
     pos = np.concatenate((points[b.size :], small))
     k_small = [_small_positive_root(DimensionlessConfig.generic(rho[i], float(f[i])), opts).k for i in small.tolist()]
     k = np.concatenate((roots[b.size :], k_small))
-    res = np.abs(g(k, rho[pos], f[pos]))
+    res = np.abs(_residual_and_slope(k, rho[pos], f[pos])[0])
     bad = np.flatnonzero(res > opts.residual_tol * np.maximum(1.0, np.abs(f[pos]) * k))
     if bad.size:
         root = float(k[bad[0]])
@@ -498,7 +598,7 @@ def full_spectrum(
     neg = find_negative_root(config, opts)
     if neg is not None:
         entries.append(neg)
-    entries.sort(key=lambda s: s.energy)
+    entries.sort(key=attrgetter("energy"))
     return Spectrum(config, entries, k_max)
 
 

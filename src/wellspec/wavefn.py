@@ -75,8 +75,8 @@ class PiecewiseWave:
 
     ``norm`` is the constant the raw segment amplitudes were divided by.
     For the evanescent kind the public amplitudes may under/overflow at
-    extreme decay; ``log_left``/``log_right`` with the sign fields are the
-    authoritative representation used by evaluation.
+    extreme decay; ``log_left``/``log_right`` are the authoritative
+    representation used by evaluation (both segments are positive there).
     """
 
     kind: str
@@ -87,8 +87,6 @@ class PiecewiseWave:
     norm: float
     log_left: float = math.nan
     log_right: float = math.nan
-    sign_left: int = 1
-    sign_right: int = 1
 
 
 def build_wave(
@@ -166,7 +164,7 @@ def _left_value(w: PiecewiseWave, x: float) -> float:
         t = w.k * x
         if t <= 0.0:
             return 0.0
-        return w.sign_left * math.exp(w.log_left + _logsinh(t))
+        return math.exp(w.log_left + _logsinh(t))
     return w.amp_left * math.sin(w.k * x)
 
 
@@ -175,7 +173,7 @@ def _right_value(w: PiecewiseWave, x: float) -> float:
         t = w.k * (1.0 - x)
         if t <= 0.0:
             return 0.0
-        return w.sign_right * math.exp(w.log_right + _logsinh(t))
+        return math.exp(w.log_right + _logsinh(t))
     return w.amp_right * math.sin(w.k * (1.0 - x))
 
 
@@ -190,13 +188,13 @@ def evaluate(wave: PiecewiseWave, x: float) -> float:
 
 def _left_slope_at_junction(w: PiecewiseWave) -> float:
     if w.kind == EVANESCENT:
-        return w.sign_left * w.k * math.exp(w.log_left + _logcosh(w.k * w.rho))
+        return w.k * math.exp(w.log_left + _logcosh(w.k * w.rho))
     return w.amp_left * w.k * math.cos(w.k * w.rho)
 
 
 def _right_slope_at_junction(w: PiecewiseWave) -> float:
     if w.kind == EVANESCENT:
-        return -w.sign_right * w.k * math.exp(w.log_right + _logcosh(w.k * (1.0 - w.rho)))
+        return -w.k * math.exp(w.log_right + _logcosh(w.k * (1.0 - w.rho)))
     return -w.amp_right * w.k * math.cos(w.k * (1.0 - w.rho))
 
 
@@ -219,30 +217,30 @@ def _trig_trig_product(w1: PiecewiseWave, w2: PiecewiseWave) -> float:
     )
 
 
-def _trig_evan_segment(a: float, b: float, T: float, amp_trig: float, sign_ev: int, log_ev: float) -> float:
+def _trig_evan_segment(a: float, b: float, T: float, amp_trig: float, log_ev: float) -> float:
     # integral of sin(a u) sinh(b u) split into e^{bT} and e^{-bT} parts so the
     # log-amplitude of the evanescent factor can absorb the growth
     denom = 2.0 * (a * a + b * b)
     p = (b * math.sin(a * T) - a * math.cos(a * T)) / denom
     q = (b * math.sin(a * T) + a * math.cos(a * T)) / denom
-    return amp_trig * sign_ev * (math.exp(log_ev + b * T) * p + math.exp(log_ev - b * T) * q)
+    return amp_trig * (math.exp(log_ev + b * T) * p + math.exp(log_ev - b * T) * q)
 
 
 def _trig_evan_product(wt: PiecewiseWave, we: PiecewiseWave) -> float:
     rho = wt.rho
-    left = _trig_evan_segment(wt.k, we.k, rho, wt.amp_left, we.sign_left, we.log_left)
-    right = _trig_evan_segment(wt.k, we.k, 1.0 - rho, wt.amp_right, we.sign_right, we.log_right)
+    left = _trig_evan_segment(wt.k, we.k, rho, wt.amp_left, we.log_left)
+    right = _trig_evan_segment(wt.k, we.k, 1.0 - rho, wt.amp_right, we.log_right)
     return left + right
 
 
-def _evan_evan_segment(a: float, b: float, T: float, l1: float, l2: float, s1: int, s2: int) -> float:
+def _evan_evan_segment(a: float, b: float, T: float, l1: float, l2: float) -> float:
     if a == b:
-        return s1 * s2 * math.exp(l1 + l2 + _log_int_sinh2(a, T))
+        return math.exp(l1 + l2 + _log_int_sinh2(a, T))
     s = a + b
     d = abs(a - b)
     t1 = math.exp(l1 + l2 + _logsinh(s * T)) / (2.0 * s)
     t2 = math.exp(l1 + l2 + _logsinh(d * T)) / (2.0 * d) if d > 0.0 else math.exp(l1 + l2) * T * 0.5
-    return s1 * s2 * (t1 - t2)
+    return t1 - t2
 
 
 def inner_product(w1: PiecewiseWave, w2: PiecewiseWave) -> float:
@@ -253,10 +251,8 @@ def inner_product(w1: PiecewiseWave, w2: PiecewiseWave) -> float:
         return _trig_trig_product(w1, w2)
     if e1 and e2:
         rho = w1.rho
-        left = _evan_evan_segment(w1.k, w2.k, rho, w1.log_left, w2.log_left, w1.sign_left, w2.sign_left)
-        right = _evan_evan_segment(
-            w1.k, w2.k, 1.0 - rho, w1.log_right, w2.log_right, w1.sign_right, w2.sign_right
-        )
+        left = _evan_evan_segment(w1.k, w2.k, rho, w1.log_left, w2.log_left)
+        right = _evan_evan_segment(w1.k, w2.k, 1.0 - rho, w1.log_right, w2.log_right)
         return left + right
     if e1:
         return _trig_evan_product(w2, w1)

@@ -109,7 +109,7 @@ class TestExitCodes:
 
     def test_sweep_residual_certificate_exit_3(self, monkeypatch, capsys):
         # midpoints of the brackets are no roots, so the array certificate must refuse them
-        monkeypatch.setattr(wellspec.spectrum, "bisect_brackets", lambda fn, lo, hi, sign, max_iter: 0.5 * (lo + hi))
+        monkeypatch.setattr(wellspec.spectrum, "solve_brackets", lambda fn, lo, hi, sign, max_iter: 0.5 * (lo + hi))
         assert main(["sweep-ground", "--f-list", "0.4", "--rho-steps", "5"]) == 3
         assert "residual" in capsys.readouterr().err
 
@@ -190,8 +190,8 @@ class TestSpectrumCommand:
 class TestSweepCommand:
     def test_one_batched_solve_per_invocation(self, monkeypatch, capsys):
         calls = []
-        solve = wellspec.spectrum.bisect_brackets
-        monkeypatch.setattr(wellspec.spectrum, "bisect_brackets", lambda *a: calls.append(1) or solve(*a))
+        solve = wellspec.spectrum.solve_brackets
+        monkeypatch.setattr(wellspec.spectrum, "solve_brackets", lambda *a: calls.append(1) or solve(*a))
         assert main(["sweep-ground", "--f-list", "0.1,0.4,0.5", "--signs", "both", "--rho-steps", "21"]) == 0
         assert len(calls) == 1
         assert len(capsys.readouterr().out.splitlines()) == 1 + 3 * 2 * 21

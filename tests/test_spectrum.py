@@ -6,6 +6,8 @@ not by the package under test, and then pinned here to full precision.
 """
 
 import math
+from contextlib import contextmanager
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -21,6 +23,64 @@ def _exact(p, n, f):
 
 def _gen(rho, f):
     return ws.DimensionlessConfig.generic(rho, f)
+
+
+EPS = np.finfo(float).eps
+
+
+def _bisection(fn, lo, hi, lo_sign):
+    """Plain bisection of every bracket to width 4 eps max(1, |mid|), reading only the values of fn."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    sign = np.broadcast_to(np.asarray(lo_sign, dtype=float), lo.shape)
+    while True:
+        mid = 0.5 * (lo + hi)
+        i = np.flatnonzero(hi - lo > 4.0 * EPS * np.maximum(1.0, np.abs(mid)))
+        if not i.size:
+            return mid
+        right = fn(mid[i], i)[0] * sign[i] > 0.0
+        lo[i] = np.where(right, mid[i], lo[i])
+        hi[i] = np.where(right, hi[i], mid[i])
+
+
+def _mixed_band(fn, x, lo, hi, lo_sign, reach=256):
+    """Width of the stretch around each root x over which the rounded sign of fn is mixed, zeros included.
+
+    fn is sampled at up to ``reach`` steps of eps max(1, |x|) either side of
+    x, inside the bracket; a clean sign change gives 0.
+    """
+    step = EPS * np.maximum(1.0, np.abs(x))
+    pts = x[:, None] + np.arange(-reach, reach + 1) * step[:, None]
+    lo, hi = np.asarray(lo, dtype=float)[:, None], np.asarray(hi, dtype=float)[:, None]
+    inside = (pts > lo) & (pts < hi)
+    rows = np.broadcast_to(np.arange(x.size)[:, None], pts.shape)[inside]
+    side = np.zeros(pts.shape)
+    side[inside] = fn(pts[inside], rows)[0] * np.broadcast_to(np.asarray(lo_sign, dtype=float), x.shape)[rows]
+    low, high = inside & (side >= 0.0), inside & (side <= 0.0)  # a zero is a root, on either side
+    first_high = np.where(high.any(axis=1), high.argmax(axis=1), pts.shape[1])
+    last_low = np.where(low.any(axis=1), pts.shape[1] - 1 - low[:, ::-1].argmax(axis=1), -1)
+    return np.maximum(0, last_low - first_high) * step
+
+
+@contextmanager
+def _recorded_solves():
+    """Records every solve_brackets call as (fn, lo, hi, lo_sign, roots, passes per bracket)."""
+    calls = []
+    solve = wellspec.spectrum.solve_brackets
+
+    def recording(fn, lo, hi, lo_sign, *args):
+        passes = np.zeros(np.size(lo), dtype=int)
+
+        def counted(x, idx):
+            passes[np.unique(idx)] += 1
+            return fn(x, idx)
+
+        roots = solve(counted, lo, hi, lo_sign, *args)
+        calls.append((fn, lo, hi, lo_sign, roots, passes))
+        return roots
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wellspec.spectrum, "solve_brackets", recording)
+        yield calls
 
 
 class TestDispersionResidual:
@@ -98,7 +158,7 @@ class TestRhsNegative:
     )
     def test_array_form_matches_scalar_and_is_monotone(self, rho, t):
         ts = t * (1.0 + np.linspace(-1e-3, 1e-3, 41))  # straddles a branch seam when drawn at one
-        arr = wellspec.spectrum._rhs_negative_array(ts, rho)
+        arr, _ = wellspec.spectrum._rhs_negative_array(ts, rho)
         scalar = np.array([ws.rhs_negative(float(x), rho) for x in ts])
         # numpy's exp, cosh and sinh may each round one ulp away from libm's, and
         # the three roundings after them may then differ by half an ulp each.
@@ -110,6 +170,21 @@ class TestRhsNegative:
         scale = np.where(ts < 2.0, scalar, np.maximum(scalar, (np.cosh(tc * m) + np.exp(-tc)) / np.sinh(tc)))
         assert np.all(np.abs(arr - scalar) <= 6.0 * np.finfo(float).eps * scale)
         assert np.all(np.diff(arr) >= 0.0)
+
+    @pytest.mark.parametrize("rho", [0.5, 0.21, 0.37, 1e-3, 0.999])
+    def test_array_slope_matches_high_precision_derivative(self, rho):
+        # d/dt of (cosh t - cosh(t mu)) / sinh t, mu = 2 rho - 1, evaluated in
+        # 100-digit decimals: [cosh t cosh(t mu) - mu sinh t sinh(t mu) - 1] / sinh(t)^2
+        ts = [1e-6, 1e-3, 0.01, 0.5, 1.999, 2.0, 2.001, 10.0, 40.0, 100.0, 349.9, 350.0, 350.1, 1e3]
+        _, slope = wellspec.spectrum._rhs_negative_array(np.array(ts), rho)
+        with localcontext() as ctx:
+            ctx.prec = 100
+            mu = 2 * Decimal(rho) - 1
+            ch = lambda x: (x.exp() + (-x).exp()) / 2
+            sh = lambda x: (x.exp() - (-x).exp()) / 2
+            want = [float((ch(Decimal(t)) * ch(Decimal(t) * mu) - mu * sh(Decimal(t)) * sh(Decimal(t) * mu) - 1)
+                          / sh(Decimal(t)) ** 2) for t in ts]
+        np.testing.assert_allclose(slope, want, rtol=1e-12, atol=0.0)
 
     def test_branches_agree_at_seams(self):
         for rho in (0.5, 0.21):
@@ -263,6 +338,80 @@ class TestGroundState:
         assert es[0] < 0.0 < es[2]
         assert abs(es[1]) < 1e-12
         assert max(abs(e) for e in es) < 0.6
+
+
+class TestSolveBrackets:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(st.floats(0.01, 0.99), st.tuples(st.integers(1, 11), st.integers(2, 12))),
+        st.floats(-3.0, 2.0),
+        st.booleans(),
+        st.floats(0.5, 60.0 * math.pi),
+    )
+    def test_roots_match_bisection(self, pos, log_f, repel, k_max):
+        # every bracket of the spectrum (interlacing and, at exact positions, deflated)
+        f = -(10.0**log_f) if repel else 10.0**log_f
+        if isinstance(pos, tuple):
+            assume(pos[0] < pos[1])
+            cfg = _exact(*pos, f)
+        else:
+            cfg = _gen(pos, f)
+        with _recorded_solves() as calls:
+            ws.full_spectrum(cfg, k_max)
+        for fn, lo, hi, lo_sign, roots, _ in calls:
+            want = _bisection(fn, lo, hi, lo_sign)
+            # where rounding mixes the signs of fn around a root (just above the
+            # binding threshold, g is far flatter than its rounding error), both
+            # solvers return points of that band
+            band = _mixed_band(fn, want, lo, hi, lo_sign)
+            assert np.all(np.abs(roots - want) <= 4.0 * EPS * np.maximum(1.0, np.abs(want)) + band)
+
+    def test_pass_counts(self):
+        # |f| = 5 and 50 put most roots next to a bracket end; generic(0.7916, 43.94)
+        # has a root next to an end set by an iterate
+        cfgs = [_gen(0.7916, 43.94)]
+        cfgs += [_gen(rho, f) for rho in (0.13, 0.3183, 0.61, 0.7916) for f in (5.0, -5.0, 50.0, -50.0)]
+        cfgs += [_exact(2, 5, f) for f in (5.0, -5.0, 50.0, -50.0)]
+        with _recorded_solves() as calls:
+            for cfg in cfgs:
+                ws.full_spectrum(cfg, 90.2 * math.pi)
+        passes = np.concatenate([c[5] for c in calls])
+        assert np.median(passes) <= 12
+        assert passes.max() <= 25
+
+    @pytest.mark.parametrize(
+        "wrong",
+        [np.negative, lambda d: 1e15 * d, lambda d: np.full_like(d, np.nan)],
+        ids=["negated", "times_1e15", "nan"],
+    )
+    def test_wrong_slope_still_gives_bisection_roots(self, wrong):
+        # A negated slope points Newton away from the root; a huge one makes the
+        # first step look converged, so only the certificate catches it.  The
+        # certificate puts a root within tol = 4 eps max(1, k) of a sign change
+        # and bisection within half of that, hence 6 eps.
+        for cfg in (_gen(0.3183, 0.7), _exact(2, 5, -0.3)):
+            with _recorded_solves() as calls:
+                ws.full_spectrum(cfg, 30.0 * math.pi)
+            for fn, lo, hi, lo_sign, _, _ in calls:
+                bad = lambda x, idx: (fn(x, idx)[0], wrong(fn(x, idx)[1]))
+                got = wellspec.spectrum.solve_brackets(bad, lo, hi, lo_sign)
+                want = _bisection(fn, lo, hi, lo_sign)
+                assert np.all(np.abs(got - want) <= 6.0 * EPS * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("cfg", [_gen(0.3183, 0.7), _gen(0.61, -50.0), _exact(2, 5, 0.3)], ids=repr)
+    def test_slopes_match_central_differences(self, cfg):
+        k = np.linspace(0.3, 60.0, 397)
+        h = 1e-6
+        g, dg = wellspec.spectrum._residual_and_slope(k, cfg.rho, cfg.f)
+        fd = (wellspec.spectrum._residual_and_slope(k + h, cfg.rho, cfg.f)[0]
+              - wellspec.spectrum._residual_and_slope(k - h, cfg.rho, cfg.f)[0]) / (2.0 * h)
+        assert np.all(np.abs(dg - fd) <= 1e-7 * (1.0 + np.abs(cfg.f) * k))
+        np.testing.assert_array_equal(g, ws.dispersion_residual(k, cfg))
+        d = np.linspace(-3.0, 3.0, 200)  # no point at d = 0, where G is 0/0
+        G, dG = wellspec.spectrum._deflated_residual(d, 5, cfg)
+        fd = (wellspec.spectrum._deflated_residual(d + h, 5, cfg)[0]
+              - wellspec.spectrum._deflated_residual(d - h, 5, cfg)[0]) / (2.0 * h)
+        assert np.all(np.abs(dG - fd) <= 1e-7 * (1.0 + np.abs(cfg.f) * 5.0 * math.pi))
 
 
 class TestFullSpectrum:
