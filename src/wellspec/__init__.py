@@ -7,16 +7,16 @@ from .errors import (
     PositionOutOfRange,
     SolverFailure,
 )
-from .model import DimensionlessConfig, RationalPosition, mu, reduce_position
+from .model import DimensionlessConfig, RationalPosition, reduce_position
 from .spectrum import (
     DEFAULT_K_MAX,
-    DEFAULT_OPTIONS,
     NODAL,
     ORDINARY_NEGATIVE,
     ORDINARY_POSITIVE,
     EigenState,
-    SolverOptions,
     Spectrum,
+    coupling,
+    decoupled,
     dispersion_residual,
     enumerate_nodal,
     find_negative_root,

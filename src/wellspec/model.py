@@ -86,9 +86,3 @@ class DimensionlessConfig:
         """Free-space binding-energy scale E_B = 1/f^2."""
         return 1.0 / (self.f * self.f)
 
-
-def mu(config: DimensionlessConfig) -> float:
-    """Centered position coordinate 2*rho - 1, antisymmetric under mirroring."""
-    if config.rational is not None:
-        return 2.0 * config.rational.p / config.rational.n - 1.0
-    return 2.0 * config.rho - 1.0

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure
 from .model import DimensionlessConfig
-from .spectrum import solve_brackets
+from .spectrum import coupling, solve_brackets
 
 
 @dataclass(frozen=True)
@@ -46,15 +46,8 @@ def build_matrix(config: DimensionlessConfig, m: int) -> SineBasisMatrix:
         raise ValueError("truncation order must be at least 2")
     idx = np.arange(1, m + 1)
     diag = (idx * np.pi) ** 2
-    if config.is_exact:
-        p, n = config.rational.p, config.rational.n
-        r = (idx * p) % (2 * n)
-        u = np.sin(np.pi * r / n)
-        u[r % n == 0] = 0.0
-    else:
-        u = np.sin(idx * np.pi * config.rho)
     sigma = 0.0 if math.isinf(config.f) else -4.0 / config.f
-    return SineBasisMatrix(m, diag, u, sigma)
+    return SineBasisMatrix(m, diag, coupling(config, idx), sigma)
 
 
 def lowest_eigenvalues(matrix: SineBasisMatrix, count: int) -> list[float]:

@@ -29,6 +29,8 @@ ORDINARY_NEGATIVE = "ordinary_negative"
 DEFAULT_K_MAX = 20.0 * math.pi
 
 _EPS = 2.220446049250313e-16
+_RESIDUAL_TOL = 1e-10  # a root's |g| may be at most this times max(1, |f| kL)
+_MAX_BISECT = 240  # cap on the passes of one solve
 
 
 class EigenState(NamedTuple):
@@ -47,17 +49,6 @@ class EigenState(NamedTuple):
     residual: float
     n: int | None = None
     j: int | None = None
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    residual_tol: float = 1e-10
-    nodal_match_tol: float = 1e-9
-    vanish_tol: float = 1e-6
-    max_bisect: int = 240
-
-
-DEFAULT_OPTIONS = SolverOptions()
 
 
 @dataclass(frozen=True)
@@ -157,7 +148,7 @@ def negative_residual(kappaL: float, config: DimensionlessConfig) -> float:
     return config.f * kappaL - rhs_negative(kappaL, config.rho)
 
 
-def _bisect(fn, lo: float, hi: float, flo: float, fhi: float, max_iter: int) -> float:
+def _bisect(fn, lo: float, hi: float, flo: float, fhi: float) -> float:
     """Bisection inside a certified bracket down to machine-relative width.
 
     Only the signs of ``flo`` and ``fhi`` are used, so a caller that knows
@@ -169,7 +160,7 @@ def _bisect(fn, lo: float, hi: float, flo: float, fhi: float, max_iter: int) -> 
         return hi
     if flo * fhi > 0.0:
         raise SolverFailure(f"bracket [{lo}, {hi}] does not straddle a root", (lo, hi))
-    for _ in range(max_iter):
+    for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -185,7 +176,7 @@ def _bisect(fn, lo: float, hi: float, flo: float, fhi: float, max_iter: int) -> 
     return 0.5 * (lo + hi)
 
 
-def solve_brackets(fn, lo, hi, lo_sign, max_iter: int = DEFAULT_OPTIONS.max_bisect) -> np.ndarray:
+def solve_brackets(fn, lo, hi, lo_sign, max_iter: int = _MAX_BISECT) -> np.ndarray:
     """The root of ``fn`` on every bracket (lo[i], hi[i]), solved at once by safeguarded Newton.
 
     ``fn(x, idx)`` returns the values and the slopes at the points ``x`` of the
@@ -299,20 +290,24 @@ def _residual_and_slope(kL, rho, f):
 
 
 def _deflated_residual(d, center, config: DimensionlessConfig):
-    """G(d) = (-1)^c g(c pi + d) / d at a nodal multiple c of pi (exact positions), and G'(d).
+    """G(d) = (-1)^c g(c pi + d) / d at a decoupled level c pi, and G'(d).
 
-    With c rho an integer, g(c pi + d) = (-1)^c [f (c pi + d) sin d
-    - 2 sin(d rho) sin(d (1 - rho))], so dividing out the nodal zero at d = 0
-    leaves G(0) = f c pi and G(-pi) > 0 > G(pi).  The companion root of the
-    nodal level therefore lies on the side of d given by the sign of f.
+    With c rho = j + e, j the nearest integer (e = 0 at a nodal multiple),
+    g(c pi + d) = (-1)^c [f (c pi + d) sin d - 2 sin a sin b], a = d rho + pi e,
+    b = d (1 - rho) - pi e.  Dividing out the zero within rounding at d = 0
+    leaves G(0) = f c pi - 2 pi e (1 - 2 rho), of the sign of f once
+    |f| c > 1.4e-8, and G(-pi) > 0 > G(pi), so the companion root lies on the
+    side of d given by the sign of f.
     Writing P(d) = d G(d) for the bracketed form, G' = (P' - G) / d.
     Works on scalars and arrays alike.
     """
     rho, f = config.rho, config.f
+    e = 0.0 if config.is_exact else math.pi * (center * rho - np.round(center * rho))
     k = center * math.pi + d
-    sd, sa, sb = np.sin(d), np.sin(d * rho), np.sin(d * (1.0 - rho))
+    a, b = d * rho + e, d * (1.0 - rho) - e
+    sd, sa, sb = np.sin(d), np.sin(a), np.sin(b)
     value = f * k * sd / d - 2.0 * sa * sb / d
-    dp = f * (sd + k * np.cos(d)) - 2.0 * (rho * np.cos(d * rho) * sb + (1.0 - rho) * sa * np.cos(d * (1.0 - rho)))
+    dp = f * (sd + k * np.cos(d)) - 2.0 * (rho * np.cos(a) * sb + (1.0 - rho) * sa * np.cos(b))
     return value, (dp - value) / d
 
 
@@ -326,7 +321,7 @@ def _quartic_coeff(rho: float, f: float) -> float:
     return f / 6.0 - rho * (1.0 - rho) * (rho * rho + (1.0 - rho) * (1.0 - rho)) / 3.0
 
 
-def _small_positive_root(config: DimensionlessConfig, opts: SolverOptions) -> EigenState | None:
+def _small_positive_root(config: DimensionlessConfig) -> EigenState | None:
     """Ground root just above zero energy when f exceeds the binding threshold.
 
     Near the threshold g is of order (f - fc) k^2 on most of (0, pi), below
@@ -354,40 +349,40 @@ def _small_positive_root(config: DimensionlessConfig, opts: SolverOptions) -> Ei
         lo *= 0.5
         flo = fn(lo)
         tries += 1
-    root = _bisect(fn, lo, hi, flo, fhi, opts.max_bisect)
+    root = _bisect(fn, lo, hi, flo, fhi)
     res = abs(_g_scalar(root, rho, f))
     return EigenState(ORDINARY_POSITIVE, root, root * root, res)
 
 
-def _keep_as_ordinary(roots: np.ndarray, config: DimensionlessConfig, opts: SolverOptions) -> np.ndarray:
-    """Mask of the roots that carry a wave.
-
-    On the generic path, a position within ~1e-7 of a rational makes g vanish
-    at a multiple of pi where both segment amplitudes vanish too; such a root
-    is not a reportable ordinary state.
-    """
-    m = np.round(roots / math.pi)
-    near = (m > 0) & (np.abs(roots - m * math.pi) < opts.nodal_match_tol)
-    sl = np.abs(np.sin(roots * config.rho))
-    sr = np.abs(np.sin(roots * (1.0 - config.rho)))
-    return ~(near & (sl < opts.vanish_tol) & (sr < opts.vanish_tol))
-
-
-def _certify(roots: np.ndarray, config: DimensionlessConfig, opts: SolverOptions) -> np.ndarray:
+def _certify(roots: np.ndarray, config: DimensionlessConfig) -> np.ndarray:
     """Absolute residuals of g at the roots; raises if any exceeds the scaled tolerance."""
     res = np.abs(dispersion_residual(roots, config))
-    bad = np.nonzero(res > opts.residual_tol * np.maximum(1.0, abs(config.f) * roots))[0]
+    bad = np.nonzero(res > _RESIDUAL_TOL * np.maximum(1.0, abs(config.f) * roots))[0]
     if bad.size:
         root = float(roots[bad[0]])
         raise SolverFailure(f"root polish left residual {res[bad[0]]:.3e} at kL={root}", (root, root))
     return res
 
 
-def find_ordinary_positive(
-    config: DimensionlessConfig,
-    k_max: float = DEFAULT_K_MAX,
-    opts: SolverOptions = DEFAULT_OPTIONS,
-) -> list[EigenState]:
+def coupling(config: DimensionlessConfig, m):
+    """Weight sin(m pi rho) of the free-well level m pi, for integer m; exactly 0 at the nodal multiples."""
+    if config.is_exact:
+        p, n = config.rational.p, config.rational.n
+        r = (m * p) % (2 * n)  # in integers, so the nodal zeros are exact
+        return np.where(r % n == 0, 0.0, np.sin(np.pi * r / n))
+    return np.sin(m * np.pi * config.rho)
+
+
+def decoupled(u, f, m):
+    """True where the level m pi of weight u is decoupled: g(m pi) = 2 (-1)^m u^2 is below rounding.
+
+    The floor (|f| m pi + 2) eps is the deflation criterion of Gu and
+    Eisenstat for rank-one updates.  Takes scalars and arrays alike.
+    """
+    return u * u <= (abs(f) * m * math.pi + 2.0) * _EPS
+
+
+def find_ordinary_positive(config: DimensionlessConfig, k_max: float = DEFAULT_K_MAX) -> list[EigenState]:
     """All ordinary positive-energy roots of the dispersion in (0, k_max].
 
     g is the secular function of a diagonal-plus-rank-one operator, and
@@ -397,10 +392,11 @@ def find_ordinary_positive(
     * each interval (m pi, (m+1) pi), m >= 1, holds exactly one root, with g
       of sign (-1)^m just above m pi;
     * (0, pi) holds one only above the binding threshold 2 rho (1 - rho);
-    * at an exact position rho = p/n, g also vanishes at every nodal multiple
-      c of pi; the two intervals beside it merge into one bracket holding one
-      ordinary companion, on the side of c pi given by the sign of f, and it
-      is solved in the deflated form ``_deflated_residual``.
+    * a ``decoupled`` level is a root at m pi itself, reported here unless it
+      is a nodal state.  The intervals beside a run of them merge into one
+      bracket holding one companion, past the run's end on the side of the
+      sign of f, solved in the deflated form ``_deflated_residual``; a run
+      from level 1 gets one only if (0, pi) holds a level.
 
     Every bracket is solved at once by ``solve_brackets``, with endpoint
     signs from this count rather than from g at a rounded multiple of pi.
@@ -411,28 +407,34 @@ def find_ordinary_positive(
     rho, f = config.rho, config.f
     top = int(k_max // math.pi)  # index of the interval holding k_max
     above = f > _threshold_coupling(rho)
-    small = _small_positive_root(config, opts) if above else None
-    first = 0 if above and small is None else 1
-    m = np.arange(first, top + 1)
-    centers = np.zeros(0)
-    if config.is_exact:
-        n = config.rational.n
-        m = m[((m % n != 0) | (m == 0)) & ((m + 1) % n != 0)]  # intervals beside no nodal level
-        centers = np.arange(n, top + 2, n, dtype=float)
+    small = _small_positive_root(config) if above else None
+    levels = np.arange(1, top + 2)
+    dec = decoupled(coupling(config, levels), f, levels)
+    coupled = np.concatenate(([True], ~dec))  # by level, from the origin
+    m = np.arange(0 if above and small is None else 1, top + 1)
+    m = m[coupled[m] & coupled[m + 1]]  # intervals beside no decoupled level
+    # a run's last level for f > 0, its first for f < 0
+    edge = dec & ~(np.concatenate((dec[1:], [False])) if f > 0.0 else np.concatenate(([False], dec[:-1])))
+    centers = levels[edge].astype(float)
+    if dec[0] and not above:
+        centers = centers[1:]  # the run from level 1 has no companion
 
     g = lambda k, _: _residual_and_slope(k, rho, f)
-    roots = solve_brackets(g, m * math.pi, (m + 1) * math.pi, 1.0 - 2.0 * (m % 2), opts.max_bisect)
+    roots = solve_brackets(g, m * math.pi, (m + 1) * math.pi, 1.0 - 2.0 * (m % 2))
     if small is not None:
         roots = np.concatenate(([small.k], roots))
-    roots = roots[_keep_as_ordinary(roots, config, opts)]
+    shown = levels[dec]
+    if config.is_exact:
+        shown = shown[shown % config.rational.n != 0]  # the rest are enumerate_nodal's
     if centers.size:
         side = (0.0, math.pi) if f > 0.0 else (-math.pi, 0.0)
         deflated = lambda d, i: _deflated_residual(d, centers[i], config)
         ends = np.full(centers.size, side[0]), np.full(centers.size, side[1])
-        d = solve_brackets(deflated, *ends, 1.0, opts.max_bisect)
-        roots = np.sort(np.concatenate((roots, centers * math.pi + d)))
+        roots = np.concatenate((roots, centers * math.pi + solve_brackets(deflated, *ends, 1.0)))
+    if centers.size or shown.size:
+        roots = np.sort(np.concatenate((roots, shown * math.pi)))
     roots = roots[roots <= k_max]
-    res = _certify(roots, config, opts)
+    res = _certify(roots, config)
     # tuple.__new__ builds the entries without the named tuple's Python-level __new__
     energy = roots * roots
     rows = zip(repeat(ORDINARY_POSITIVE), roots.tolist(), energy.tolist(), res.tolist(), repeat(None), repeat(None))
@@ -450,9 +452,7 @@ def enumerate_nodal(pos: RationalPosition, k_max: float) -> list[EigenState]:
     return out
 
 
-def find_negative_root(
-    config: DimensionlessConfig, opts: SolverOptions = DEFAULT_OPTIONS
-) -> EigenState | None:
+def find_negative_root(config: DimensionlessConfig) -> EigenState | None:
     """The unique bound (negative-energy) root, present iff 0 < f < 2 rho (1-rho)."""
     f, rho = config.f, config.rho
     fc = _threshold_coupling(rho)
@@ -468,18 +468,16 @@ def find_negative_root(
     flo, fhi = fn(lo), fn(hi)
     if flo >= 0.0 or fhi <= 0.0:
         raise SolverFailure(f"negative-root bracket invalid for f={f}, rho={rho}", (lo, hi))
-    root = _bisect(fn, lo, hi, flo, fhi, opts.max_bisect)
+    root = _bisect(fn, lo, hi, flo, fhi)
     res = abs(negative_residual(root, config))
-    if res > opts.residual_tol:
+    if res > _RESIDUAL_TOL:
         raise SolverFailure(f"negative root residual {res:.3e}", (lo, hi))
     return EigenState(ORDINARY_NEGATIVE, root, -root * root, res)
 
 
-def ground_state(
-    config: DimensionlessConfig, opts: SolverOptions = DEFAULT_OPTIONS
-) -> EigenState:
+def ground_state(config: DimensionlessConfig) -> EigenState:
     """Lowest-energy state; continuous in f across the zero-energy crossing."""
-    neg = find_negative_root(config, opts)
+    neg = find_negative_root(config)
     if neg is not None:
         return neg
     f, rho = config.f, config.rho
@@ -488,21 +486,25 @@ def ground_state(
         return EigenState(ORDINARY_POSITIVE, 0.0, 0.0, 0.0)
     # the lowest bracket of find_ordinary_positive, solved in scalar code
     g = lambda t: _g_scalar(t, rho, f)
-    if f > fc:
-        small = _small_positive_root(config, opts)
-        root = small.k if small is not None else _bisect(g, 0.0, math.pi, 1.0, -1.0, opts.max_bisect)
-    elif config.is_exact and config.rational.n == 2:
+    small = _small_positive_root(config) if f > fc else None
+    if small is not None:
+        root = small.k
+    elif decoupled(coupling(config, 1), f, 1):
+        root = math.pi
+    elif f > fc:
+        root = _bisect(g, 0.0, math.pi, 1.0, -1.0)
+    elif decoupled(coupling(config, 2), f, 2):
         deflated = lambda d: float(_deflated_residual(d, 2, config)[0])
-        root = 2.0 * math.pi + _bisect(deflated, -math.pi, 0.0, 1.0, -1.0, opts.max_bisect)
+        root = 2.0 * math.pi + _bisect(deflated, -math.pi, 0.0, 1.0, -1.0)
     else:
-        root = _bisect(g, math.pi, 2.0 * math.pi, -1.0, 1.0, opts.max_bisect)
+        root = _bisect(g, math.pi, 2.0 * math.pi, -1.0, 1.0)
     res = abs(g(root))
-    if res > opts.residual_tol * max(1.0, abs(f) * root):
+    if res > _RESIDUAL_TOL * max(1.0, abs(f) * root):
         raise SolverFailure(f"root polish left residual {res:.3e} at kL={root}", (root, root))
     return EigenState(ORDINARY_POSITIVE, root, root * root, res)
 
 
-def ground_states(rho, f, opts: SolverOptions = DEFAULT_OPTIONS) -> np.ndarray:
+def ground_states(rho, f) -> np.ndarray:
     """Ground-state energies of the generic configurations (rho[i], f[i]), solved together.
 
     ``rho`` and ``f`` broadcast together; the energies come back in their
@@ -514,7 +516,8 @@ def ground_states(rho, f, opts: SolverOptions = DEFAULT_OPTIONS) -> np.ndarray:
     * f == fc: the marginal zero;
     * f > fc: the scalar ``_small_positive_root`` where its series applies
       (c4 > 0 and t_est < 0.5), otherwise g on (0, pi), lower sign +1;
-    * f < 0: g on (pi, 2 pi), lower sign -1.
+    * f < 0: g on (pi, 2 pi), lower sign -1;
+    * level 1 ``decoupled`` and no root below it: the level pi itself.
 
     Every bracket is solved by one ``solve_brackets`` call, and every root
     carries the residual certificate of the scalar path.
@@ -533,8 +536,9 @@ def ground_states(rho, f, opts: SolverOptions = DEFAULT_OPTIONS) -> np.ndarray:
         series = (c4 > 0.0) & (np.sqrt((f - fc) / c4) < 0.5)
     near = (f > 0.0) & (f < fc) & (fc - f <= 1e-10)
     b = np.flatnonzero((f > 0.0) & (fc - f > 1e-10))
-    u = np.flatnonzero((f > fc) & ~series)
-    r = np.flatnonzero(f < 0.0)
+    at_pi = decoupled(np.sin(np.pi * rho), f, 1) & ((f > fc) & ~series | (f < 0.0))
+    u = np.flatnonzero((f > fc) & ~series & ~at_pi)
+    r = np.flatnonzero((f < 0.0) & ~at_pi)
     small = np.flatnonzero((f > fc) & series)
 
     points = np.concatenate((b, u, r))
@@ -560,19 +564,19 @@ def ground_states(rho, f, opts: SolverOptions = DEFAULT_OPTIONS) -> np.ndarray:
     if bad.size:
         i = bad[0]
         raise SolverFailure(f"negative-root bracket invalid for f={fb[i]}, rho={rb[i]}", (lo[i], hi[i]))
-    roots = solve_brackets(residual, lo, hi, sign, opts.max_bisect)
+    roots = solve_brackets(residual, lo, hi, sign)
 
     t = roots[: b.size]
     res = np.abs(residual(t, bound)[0])
-    bad = np.flatnonzero(res > opts.residual_tol)
+    bad = np.flatnonzero(res > _RESIDUAL_TOL)
     if bad.size:
         i = bad[0]
         raise SolverFailure(f"negative root residual {res[i]:.3e}", (lo[i], hi[i]))
     pos = np.concatenate((points[b.size :], small))
-    k_small = [_small_positive_root(DimensionlessConfig.generic(rho[i], float(f[i])), opts).k for i in small.tolist()]
+    k_small = [_small_positive_root(DimensionlessConfig.generic(rho[i], float(f[i]))).k for i in small.tolist()]
     k = np.concatenate((roots[b.size :], k_small))
     res = np.abs(_residual_and_slope(k, rho[pos], f[pos])[0])
-    bad = np.flatnonzero(res > opts.residual_tol * np.maximum(1.0, np.abs(f[pos]) * k))
+    bad = np.flatnonzero(res > _RESIDUAL_TOL * np.maximum(1.0, np.abs(f[pos]) * k))
     if bad.size:
         root = float(k[bad[0]])
         raise SolverFailure(f"root polish left residual {res[bad[0]]:.3e} at kL={root}", (root, root))
@@ -582,20 +586,17 @@ def ground_states(rho, f, opts: SolverOptions = DEFAULT_OPTIONS) -> np.ndarray:
     t_near = np.sqrt((fc[near] - f[near]) / c4[near])
     energy[near] = -t_near * t_near
     energy[pos] = k * k
+    energy[at_pi] = math.pi * math.pi
     return energy.reshape(shape)
 
 
-def full_spectrum(
-    config: DimensionlessConfig,
-    k_max: float = DEFAULT_K_MAX,
-    opts: SolverOptions = DEFAULT_OPTIONS,
-) -> Spectrum:
+def full_spectrum(config: DimensionlessConfig, k_max: float = DEFAULT_K_MAX) -> Spectrum:
     """Merged, energy-sorted spectrum below the stated ceiling."""
     entries: list[EigenState] = []
     if config.is_exact:
         entries.extend(enumerate_nodal(config.rational, k_max))
-    entries.extend(find_ordinary_positive(config, k_max, opts))
-    neg = find_negative_root(config, opts)
+    entries.extend(find_ordinary_positive(config, k_max))
+    neg = find_negative_root(config)
     if neg is not None:
         entries.append(neg)
     entries.sort(key=attrgetter("energy"))

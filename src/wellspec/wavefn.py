@@ -22,6 +22,8 @@ from .spectrum import (
     ORDINARY_NEGATIVE,
     ORDINARY_POSITIVE,
     EigenState,
+    coupling,
+    decoupled,
     dispersion_residual,
     negative_residual,
 )
@@ -89,6 +91,12 @@ class PiecewiseWave:
     log_right: float = math.nan
 
 
+def _nodal_wave(k: float, m: int, rho: float) -> PiecewiseWave:
+    """sqrt(2) sin(k x) at k = m pi, whose right segment carries the parity sign (-1)^(m+1)."""
+    amp = math.sqrt(2.0)
+    return PiecewiseWave(NODAL_WAVE, k, rho, amp, amp if m % 2 == 1 else -amp, 1.0)
+
+
 def build_wave(
     state: EigenState, config: DimensionlessConfig, check: bool = True, tol: float = 1e-8
 ) -> PiecewiseWave:
@@ -101,10 +109,7 @@ def build_wave(
     if state.kind == NODAL:
         if check and (not config.is_exact or state.n != config.rational.n):
             raise InconsistentState("nodal state does not belong to this configuration")
-        k = state.k
-        amp = math.sqrt(2.0)
-        amp_r = amp * (1.0 if (state.n * state.j) % 2 == 1 else -1.0)
-        return PiecewiseWave(NODAL_WAVE, k, rho, amp, amp_r, 1.0)
+        return _nodal_wave(state.k, state.n * state.j, rho)
 
     if state.kind == ORDINARY_POSITIVE:
         k = state.k
@@ -112,6 +117,10 @@ def build_wave(
             raise InconsistentState("the marginal zero-energy state has no trigonometric form")
         if check and abs(float(dispersion_residual(k, config))) > tol * max(1.0, abs(config.f) * k):
             raise InconsistentState(f"residual certificate fails at kL={k}")
+        m = round(k / math.pi)
+        if k == m * math.pi and decoupled(coupling(config, m), config.f, m):
+            # the ordinary amplitudes below are of the size of the weight, which is at the rounding floor here
+            return _nodal_wave(k, m, rho)
         raw_l = math.sin(k * (1.0 - rho))
         raw_r = math.sin(k * rho)
         n2 = raw_l * raw_l * _int_sin2(k, rho) + raw_r * raw_r * _int_sin2(k, 1.0 - rho)

@@ -109,7 +109,7 @@ class TestExitCodes:
 
     def test_sweep_residual_certificate_exit_3(self, monkeypatch, capsys):
         # midpoints of the brackets are no roots, so the array certificate must refuse them
-        monkeypatch.setattr(wellspec.spectrum, "solve_brackets", lambda fn, lo, hi, sign, max_iter: 0.5 * (lo + hi))
+        monkeypatch.setattr(wellspec.spectrum, "solve_brackets", lambda fn, lo, hi, sign, *_: 0.5 * (lo + hi))
         assert main(["sweep-ground", "--f-list", "0.4", "--rho-steps", "5"]) == 3
         assert "residual" in capsys.readouterr().err
 
@@ -120,6 +120,12 @@ class TestExitCodes:
         )
         assert rc == 4
         assert "FAIL" in capsys.readouterr().out
+
+    def test_check_generic_half_passes(self, capsys):
+        # the float 0.5 decouples the even levels; the oracle keeps 4 pi^2, and so must the solver
+        assert main(["check", "--rho-real", "0.5", "--f", "-0.2", "--count", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out and out.count("PASS") == 5
 
     def test_check_passes_exit_0(self, capsys):
         rc = main(["check", "--rho", "1/2", "--f", "-0.2", "--count", "6", "--kmax", "8", "--oracle-m", "800"])

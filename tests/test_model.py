@@ -9,7 +9,6 @@ from wellspec import (
     DimensionlessConfig,
     PositionOutOfRange,
     RationalPosition,
-    mu,
     reduce_position,
 )
 
@@ -44,23 +43,6 @@ class TestReducePosition:
     def test_unreduced_construction_rejected(self):
         with pytest.raises(ValueError):
             RationalPosition(2, 4)
-
-
-class TestMu:
-    def test_center(self):
-        assert mu(DimensionlessConfig.exact(1, 2, 0.3)) == 0.0
-
-    def test_two_fifths(self):
-        assert mu(DimensionlessConfig.exact(2, 5, 1.0)) == pytest.approx(-0.2, abs=1e-15)
-
-    def test_near_wall_limit(self):
-        assert mu(DimensionlessConfig.generic(1.0 - 1e-9, 1.0)) == pytest.approx(1.0, abs=1e-8)
-
-    @given(st.floats(1e-6, 1.0 - 1e-6))
-    def test_mirror_antisymmetry(self, rho):
-        a = mu(DimensionlessConfig.generic(rho, 1.0))
-        b = mu(DimensionlessConfig.generic(1.0 - rho, 1.0))
-        assert a + b == pytest.approx(0.0, abs=1e-12)
 
 
 class TestConfigValidation:

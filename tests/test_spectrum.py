@@ -11,7 +11,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import wellspec as ws
 import wellspec.spectrum
@@ -26,6 +26,12 @@ def _gen(rho, f):
 
 
 EPS = np.finfo(float).eps
+
+
+def _interlacing_count(rho, f, k_max):
+    """floor(K/pi) + [g(K) sin K < 0] - [f < 0]: the number of levels below K by rank-one interlacing."""
+    g = f * k_max * math.sin(k_max) - 2.0 * math.sin(k_max * rho) * math.sin(k_max * (1.0 - rho))
+    return math.floor(k_max / math.pi) + int(g * math.sin(k_max) < 0.0) - int(f < 0.0)
 
 
 def _bisection(fn, lo, hi, lo_sign):
@@ -299,7 +305,10 @@ class TestGroundState:
         + [_exact(p, n, f) for p, n in ((1, 2), (2, 5)) for f in (-50.0, -0.3, -0.01, 0.01, 0.3, 50.0)]
         # near the binding threshold; only f == 2 rho (1 - rho) itself is the marginal zero
         + [_gen(rho, 2.0 * rho * (1.0 - rho) + df) for rho in (0.13, 0.3, 0.5) for df in (-1e-6, -1e-8, 1e-8, 5e-11, 1e-6)]
-        + [_exact(1, 2, 0.5 + df) for df in (-1e-6, 5e-11, 1e-8, 1e-6)],
+        + [_exact(1, 2, 0.5 + df) for df in (-1e-6, 5e-11, 1e-8, 1e-6)]
+        # decoupled lowest levels: 2 pi at the float 0.5, and pi next to a wall
+        + [_gen(0.5, -1e-3)]
+        + [_gen(rho, f) for rho in (1e-10, 1.0 - 1e-10) for f in (-3.0, -0.05, 0.05, 3.0)],
         ids=repr,
     )
     def test_matches_lowest_spectrum_entry(self, cfg):
@@ -407,11 +416,24 @@ class TestSolveBrackets:
               - wellspec.spectrum._residual_and_slope(k - h, cfg.rho, cfg.f)[0]) / (2.0 * h)
         assert np.all(np.abs(dg - fd) <= 1e-7 * (1.0 + np.abs(cfg.f) * k))
         np.testing.assert_array_equal(g, ws.dispersion_residual(k, cfg))
-        d = np.linspace(-3.0, 3.0, 200)  # no point at d = 0, where G is 0/0
+
+    @pytest.mark.parametrize(
+        "cfg, d",
+        [(_exact(2, 5, 0.3), np.linspace(-3.0, 3.0, 200)),  # no point at d = 0, where G is 0/0
+         (_gen(0.4 + 1e-9, 0.7), np.linspace(-3.0, 3.0, 200)),  # 5 pi decoupled, 5 rho - 2 = 5e-9
+         # 5 rho - 2 = -0.4085: G has a pole of residue 2 sin^2(0.4085 pi) at 0, so stay clear of it
+         (_gen(0.3183, 0.7), np.concatenate((np.linspace(-3.0, -0.5, 100), np.linspace(0.5, 3.0, 100))))],
+        ids=["exact", "near_rational", "generic"],
+    )
+    def test_deflated_slopes_match_central_differences(self, cfg, d):
+        h = 1e-6
         G, dG = wellspec.spectrum._deflated_residual(d, 5, cfg)
         fd = (wellspec.spectrum._deflated_residual(d + h, 5, cfg)[0]
               - wellspec.spectrum._deflated_residual(d - h, 5, cfg)[0]) / (2.0 * h)
         assert np.all(np.abs(dG - fd) <= 1e-7 * (1.0 + np.abs(cfg.f) * 5.0 * math.pi))
+        # G(d) = (-1)^5 g(5 pi + d) / d at any position
+        g = ws.dispersion_residual(5.0 * math.pi + d, cfg)
+        assert np.all(np.abs(-d * G - g) <= 1e-13 * (1.0 + np.abs(cfg.f) * 5.0 * math.pi))
 
 
 class TestFullSpectrum:
@@ -450,16 +472,23 @@ class TestFullSpectrum:
         assert gaps[0] > gaps[1] > gaps[2] > 0.0
 
     def test_exact_vs_generic_ordinary_energies_agree(self):
+        # the float 0.4 decouples the level 5 pi, so the generic path reports it
+        # at 25 pi^2 like the exact path, but never classifies it as nodal
         ex = ws.full_spectrum(_exact(2, 5, 0.35), 8.0 * math.pi)
         gn = ws.full_spectrum(_gen(0.4, 0.35), 8.0 * math.pi)
-        ex_ord = [s.energy for s in ex.entries if s.kind != ws.NODAL]
-        gn_ord = [s.energy for s in gn.entries]
-        assert len(ex_ord) == len(gn_ord)
-        for a, b in zip(ex_ord, gn_ord):
-            assert a == pytest.approx(b, abs=1e-8)
+        assert len(gn.entries) == len(ex.entries)
+        assert (5.0 * math.pi) ** 2 in gn.energies
+        for a, b in zip(ex.entries, gn.entries):
+            assert b.kind == (ws.ORDINARY_POSITIVE if a.kind == ws.NODAL else a.kind)
+            assert a.energy == pytest.approx(b.energy, abs=1e-8)
 
     @settings(max_examples=15, deadline=None)
     @given(st.floats(0.06, 0.94), st.sampled_from([0.7, -0.4, 3.0, -20.0, 0.05]))
+    # decoupled levels: the even ones at 0.5 +- 1e-15, a run from pi next to a wall
+    @example(0.5 + 1e-15, -0.4)
+    @example(0.5 - 1e-15, 0.7)
+    @example(1e-10, 3.0)
+    @example(1e-10, -20.0)
     def test_mirror_symmetry(self, rho, f):
         e1 = ws.full_spectrum(_gen(rho, f), 6.0 * math.pi).energies
         e2 = ws.full_spectrum(_gen(1.0 - rho, f), 6.0 * math.pi).energies
@@ -487,13 +516,45 @@ class TestFullSpectrum:
     )
     def test_level_count_is_interlacing_count(self, rho, log_f, repel, k_max):
         # rank-one interlacing: floor(K/pi) + [g(K) sin K < 0] - [f < 0] levels lie below K
-        n = np.arange(1, int(k_max / math.pi) + 1)
-        assume(n.size == 0 or np.min(np.abs(n * rho - np.round(n * rho))) >= 1e-5)
         assume(abs(math.sin(k_max)) > 1e-12)  # at a multiple of pi the count formula is undefined
         f = -(10.0**log_f) if repel else 10.0**log_f
-        g = f * k_max * math.sin(k_max) - 2.0 * math.sin(k_max * rho) * math.sin(k_max * (1.0 - rho))
-        expected = math.floor(k_max / math.pi) + int(g * math.sin(k_max) < 0.0) - int(f < 0.0)
-        assert len(ws.full_spectrum(_gen(rho, f), k_max).entries) == expected
+        assert len(ws.full_spectrum(_gen(rho, f), k_max).entries) == _interlacing_count(rho, f, k_max)
+
+    @pytest.mark.parametrize(
+        "rho, f, k_max",
+        [(0.5, -0.2, 200.5 * math.pi), (0.3, 0.1, 200.5 * math.pi),
+         (0.398963729912964, 0.005756379805674829, 193.5 * math.pi)],
+        ids=["half", "three_tenths", "near_77_over_193"],
+    )
+    def test_rational_and_near_rational_floats_keep_every_level(self, rho, f, k_max):
+        # the benchmark's spectrum-deep reproducers: the float 0.5 decouples every
+        # even level, 0.3 every tenth, and at 193 rho - 77 = -1.3e-7 the level
+        # 193 pi has a weight of 1.7e-13, far above the rounding floor
+        spec = ws.full_spectrum(_gen(rho, f), k_max)
+        assert len(spec.entries) == _interlacing_count(rho, f, k_max)
+        assert all(s.kind != ws.NODAL for s in spec.entries)
+
+    @pytest.mark.parametrize("rho", [1e-10, 3e-9, 1.0 - 3e-9])
+    @pytest.mark.parametrize("f", [0.05, -0.05, 3.0, -3.0])
+    def test_near_wall_run_of_decoupled_levels(self, rho, f):
+        # the levels from pi up are decoupled (a run of 2 levels to all 200 below
+        # k_max); each sits at m pi, and the run gets one companion, just below
+        # the next level, for f > 0 and none for f < 0, as (0, pi) holds no level then
+        cfg, k_max = _gen(rho, f), 200.5 * math.pi
+        m = np.arange(1, 201)
+        dec = ws.decoupled(ws.coupling(cfg, m), f, m)
+        run = int(np.argmin(dec)) if not dec.all() else m.size
+        assert run >= 2
+        spec = ws.full_spectrum(cfg, k_max)
+        ks = [s.k for s in spec.entries]
+        assert len(ks) == _interlacing_count(rho, f, k_max)
+        assert ks[:run] == [j * math.pi for j in range(1, run + 1)]
+        if run < m.size:
+            assert run * math.pi < ks[run]
+            assert (ks[run] <= (run + 1) * math.pi) == (f > 0.0)
+        assert all(s.kind == ws.ORDINARY_POSITIVE for s in spec.entries)
+        for s in spec.entries:
+            assert abs(float(ws.dispersion_residual(s.k, cfg))) <= 1e-10 * max(1.0, abs(f) * s.k)
 
 
 class TestAsymptoticEstimators:

@@ -57,6 +57,18 @@ class TestBuildWave:
         assert w.amp_right / w.amp_left == pytest.approx(-2.0 / 3.0, abs=2e-3)
         assert w.amp_left == pytest.approx(math.sqrt(3.0), abs=5e-3)
 
+    def test_decoupled_level_takes_nodal_form(self):
+        # at the float 0.5 the level 2 pi is decoupled; both ordinary amplitudes
+        # would be rounding noise, with amp_right = +amp_left where the wave has -amp_left
+        cfg = _gen(0.5, -0.2)
+        state = next(s for s in ws.full_spectrum(cfg, 3.0 * math.pi).entries if s.k == 2.0 * math.pi)
+        assert state.kind == ws.ORDINARY_POSITIVE
+        w = ws.build_wave(state, cfg)
+        assert w.kind == NODAL_WAVE
+        assert w.amp_left == math.sqrt(2.0) and w.amp_right == -math.sqrt(2.0)
+        cont, jump = ws.matching_defect(w, cfg)
+        assert cont <= 1e-15 and jump <= 1e-14
+
     def test_certificate_rejection(self):
         cfg = _gen(0.3, 0.8)
         bad = ws.EigenState(ws.ORDINARY_POSITIVE, 2.9, 2.9**2, 0.0)
