@@ -41,15 +41,7 @@ from .wavefn import (
     matching_defect,
     step_limit_wave,
 )
-from .oracle import (
-    SineBasisMatrix,
-    build_matrix,
-    extrapolated_oracle_spectrum,
-    jacobi_eigenvalues,
-    lowest_eigenvalues,
-    oracle_spectrum,
-    richardson,
-)
+from .oracle import SineBasisMatrix, build_matrix, lowest_eigenvalues, oracle_spectrum
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

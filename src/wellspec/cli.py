@@ -50,10 +50,6 @@ class RunReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunReport":
-        return cls(**d)
-
 
 def _config_echo(config: DimensionlessConfig) -> dict:
     echo = {"rho": config.rho, "f": config.f}
@@ -179,7 +175,7 @@ def _run_checks(args, config: DimensionlessConfig) -> tuple[dict, bool]:
     max_jump = max(d[1] for d in defects)
 
     exact_e = [s.energy for s in spec.entries[: args.count]]
-    oracle_e = oracle.extrapolated_oracle_spectrum(config, len(exact_e), args.oracle_m)
+    oracle_e = oracle.oracle_spectrum(config, len(exact_e), args.oracle_m)
     deltas = [abs(o - e) for o, e in zip(oracle_e, exact_e)]
     oracle_ok = all(
         d <= max(args.oracle_rtol * abs(e), args.oracle_atol) for d, e in zip(deltas, exact_e)

@@ -21,5 +21,5 @@ class SolverFailure(RuntimeError):
         self.bracket = bracket
 
 
-class ConvergenceFailure(RuntimeError):
-    """Eigensolver iteration budget exhausted."""
+class ConvergenceFailure(SolverFailure):
+    """The oracle's eigensolver cannot deliver the requested levels."""

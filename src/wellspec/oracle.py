@@ -6,18 +6,35 @@ The Hamiltonian is diagonal plus rank one in this basis:
 
 so rows whose sine factor vanishes decouple exactly (the nodal sector for
 rational positions).  Eigenvalues of the coupled sector are roots of the
-rank-one secular function, solved here by one vectorized safeguarded Newton
-between interlacing poles (the bracket solver the exact dispersion also
-uses); a cyclic Jacobi sweep is provided as a second, dense eigensolver used
-to verify the secular path.  Both are in-repo: the oracle never leans on an
-external eigensolver.
+rank-one secular function
+
+    w(lam) = 1 + sigma [sum_{i<=M} u_i^2 / (d_i - lam) + T_M(lam)],
+
+d_i = (i pi)^2, u_i = sin(i pi rho), sigma = -4/f, solved by one vectorized
+safeguarded Newton between interlacing poles (the bracket solver the exact
+dispersion also uses).  T_M is the part of the sum the truncation at M leaves
+out, in closed form.  At lam = 0 it is exact, by the Fourier series of the
+Bernoulli polynomial B2 (DLMF 24.8.1):
+
+    sum_{i>=1} sin^2(i pi rho) / (i pi)^2 = rho (1 - rho) / 2.
+
+The lam-dependent rest, sum_{i>M} u_i^2 lam / (d_i (d_i - lam)), takes the
+mean 1/2 of u_i^2 and the midpoint rule from x0 = M + 1/2:
+
+    (1/2) int_{x0}^inf [1/(pi^2 x^2 - lam) - 1/(pi^2 x^2)] dx
+        = [F(lam / (pi x0)^2) - 1] / (2 pi^2 x0),
+
+F(z) = atanh(sqrt z) / sqrt z (atan(sqrt -z) / sqrt -z for z < 0).  Its
+slope is closed-form as well, so Newton keeps exact slopes.  At M = 1000 one
+solve gave the lowest 8 levels within 3.1e-8 relative of the exact solver on
+every configuration tried, strong attraction (f = 0.01) included; the error
+falls ~16x per doubling of M.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -34,11 +51,7 @@ class SineBasisMatrix:
     diag: np.ndarray  # free-well energies (i*pi)^2, i = 1..m
     coupling: np.ndarray  # sin(i*pi*rho); exact zeros in the nodal sector
     sigma: float  # rank-one strength -4/f
-
-    @cached_property
-    def entries(self) -> np.ndarray:
-        """Dense symmetric matrix; materialized on demand."""
-        return np.diag(self.diag) + self.sigma * np.outer(self.coupling, self.coupling)
+    rho: float  # delta position; fixes the weight of the truncated tail
 
 
 def build_matrix(config: DimensionlessConfig, m: int) -> SineBasisMatrix:
@@ -47,15 +60,36 @@ def build_matrix(config: DimensionlessConfig, m: int) -> SineBasisMatrix:
     idx = np.arange(1, m + 1)
     diag = (idx * np.pi) ** 2
     sigma = 0.0 if math.isinf(config.f) else -4.0 / config.f
-    return SineBasisMatrix(m, diag, coupling(config, idx), sigma)
+    return SineBasisMatrix(m, diag, coupling(config, idx), sigma, config.rho)
+
+
+def _tail(matrix: SineBasisMatrix):
+    """The function lam -> (T_M(lam), T_M'(lam)): the secular sum's terms i > M, valid below (pi (M + 1/2))^2."""
+    rho, x0 = matrix.rho, matrix.m + 0.5
+    missing = 0.5 * rho * (1.0 - rho) - float(np.sum(matrix.coupling**2 / matrix.diag))
+    scale, edge = 0.5 / (math.pi**2 * x0), (math.pi * x0) ** 2
+
+    def tail(lam):
+        z = lam / edge
+        s = np.sqrt(np.abs(z))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f = np.where(z > 0.0, np.arctanh(s), np.arctan(s)) / s
+            df = (1.0 / (1.0 - z) - f) / (2.0 * z)  # from 2 z F' + F = 1 / (1 - z)
+        small = np.abs(z) < 1e-4  # series of F - 1 and F' where the closed forms cancel
+        f = np.where(small, 1.0 + z * (1.0 / 3.0 + z * (0.2 + z / 7.0)), f)
+        df = np.where(small, 1.0 / 3.0 + z * (0.4 + z * 3.0 / 7.0), df)
+        return missing + scale * (f - 1.0), scale * df / edge
+
+    return tail
 
 
 def lowest_eigenvalues(matrix: SineBasisMatrix, count: int) -> list[float]:
-    """The ``count`` smallest eigenvalues, ascending.
+    """The ``count`` smallest eigenvalues of the tail-corrected operator, ascending.
 
     Decoupled (zero-coupling) rows contribute their diagonal values exactly;
     the rest interlace the coupled diagonal and come from the secular
-    equation.
+    equation.  Only levels well below the truncation edge (pi M)^2 carry
+    the tail's accuracy.
     """
     if count < 1 or count > matrix.m:
         raise ValueError("count must lie in [1, m]")
@@ -69,26 +103,33 @@ def lowest_eigenvalues(matrix: SineBasisMatrix, count: int) -> list[float]:
     u2 = matrix.coupling[mask] ** 2
     n_coupled = len(d)
     n_secular = min(count, n_coupled)
+    tail = _tail(matrix)
 
     def secular(lam, _):
-        # w = 1 + sigma sum u^2 / (d - lam) and w' = sigma sum u^2 / (d - lam)^2
+        # w = 1 + sigma (sum u^2 / (d - lam) + T) and w' = sigma (sum u^2 / (d - lam)^2 + T')
         gap = d - lam[:, None]
         terms = u2 / gap
-        w = 1.0 + sigma * terms.sum(axis=1)
+        t, dt = tail(lam)
+        w = 1.0 + sigma * (terms.sum(axis=1) + t)
         terms /= gap
-        return w, sigma * terms.sum(axis=1)
+        return w, sigma * (terms.sum(axis=1) + dt)
 
     reach = sigma * float(np.sum(u2))  # Weyl bound on the outermost root's shift
     if sigma < 0.0:
         # roots sit below each coupled diagonal entry; w decreases across each gap
         lo = np.concatenate(([d[0] + reach], d[: n_secular - 1]))
         hi = d[:n_secular]
-        lo_sign = 1.0
+        lo_sign, outer = 1.0, lo[:1]
     else:
         # roots sit above each coupled diagonal entry; w increases across each gap
         lo = d[:n_secular]
         hi = np.concatenate((d[1 : n_secular + 1], [d[-1] + reach]))[:n_secular]
-        lo_sign = -1.0
+        lo_sign, outer = -1.0, hi[-1:]
+    # Weyl's bound holds for the truncated sum alone; the tail must show w > 0 there too
+    with np.errstate(divide="ignore"):
+        w_outer = float(secular(outer, None)[0][0])
+    if not w_outer > 0.0:
+        raise ConvergenceFailure(f"secular function is {w_outer:.3e} at the outer bracket end {outer[0]:.6g}")
     roots = solve_brackets(secular, lo, hi, lo_sign).tolist()
     merged = sorted(roots + deflated[:count])
     if len(merged) < count:
@@ -97,53 +138,5 @@ def lowest_eigenvalues(matrix: SineBasisMatrix, count: int) -> list[float]:
 
 
 def oracle_spectrum(config: DimensionlessConfig, count: int, m: int) -> list[float]:
-    """Lowest ``count`` eigenvalues of the truncated sine-basis Hamiltonian."""
+    """Lowest ``count`` eigenvalues of the sine-basis Hamiltonian, truncated at m with its tail restored."""
     return lowest_eigenvalues(build_matrix(config, m), count)
-
-
-def richardson(coarse, fine, ratio: float = 2.0):
-    """Eliminate the leading 1/M truncation term from results at M and ratio*M."""
-    coarse = np.asarray(coarse, dtype=float)
-    fine = np.asarray(fine, dtype=float)
-    return (ratio * fine - coarse) / (ratio - 1.0)
-
-
-def extrapolated_oracle_spectrum(config: DimensionlessConfig, count: int, m: int) -> np.ndarray:
-    """Richardson-extrapolated oracle eigenvalues from truncations m and 2m."""
-    return richardson(oracle_spectrum(config, count, m), oracle_spectrum(config, count, 2 * m))
-
-
-def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60) -> np.ndarray:
-    """All eigenvalues of a dense symmetric matrix by cyclic Jacobi rotations.
-
-    Slow but simple; retained as the independent check of the secular solver.
-    """
-    a = np.array(a, dtype=float, copy=True)
-    n = a.shape[0]
-    if a.shape != (n, n) or not np.allclose(a, a.T, atol=1e-12 * max(1.0, float(np.abs(a).max()))):
-        raise ValueError("matrix must be square symmetric")
-    scale = float(np.linalg.norm(a))
-    for _ in range(max_sweeps):
-        off = float(np.linalg.norm(a - np.diag(np.diag(a))))
-        if off <= tol * max(scale, 1.0):
-            return np.sort(np.diag(a))
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    raise ConvergenceFailure(f"Jacobi sweeps did not reduce off-diagonal norm below {tol}")

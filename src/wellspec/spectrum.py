@@ -104,13 +104,13 @@ def rhs_negative(kappaL: float, rho: float) -> float:
         return 2.0 * math.sinh(t * rho) * math.sinh(t * (1.0 - rho)) / math.sinh(t)
     # 1 - (cosh(t mu) - e^-t) / sinh t: the deficit from 1 is computed on its
     # own, so the value stays monotone in floats where it saturates at 1
-    m = abs(2.0 * rho - 1.0)
     if t < 350.0:
-        return 1.0 - (math.cosh(t * m) - math.exp(-t)) / math.sinh(t)
-    # exp form: factor e^t out of numerator and denominator
-    return 1.0 - (math.exp(-t * (1.0 - m)) + math.exp(-t * (1.0 + m)) - 2.0 * math.exp(-2.0 * t)) / (
-        1.0 - math.exp(-2.0 * t)
-    )
+        return 1.0 - (math.cosh(t * abs(2.0 * rho - 1.0)) - math.exp(-t)) / math.sinh(t)
+    # exp form: factor e^t out of numerator and denominator; the exponents
+    # 1 -+ mu are taken as 2 min(rho, 1 - rho) and 2 max(rho, 1 - rho), which
+    # keeps the near one exact next to a wall
+    near, far = 2.0 * min(rho, 1.0 - rho), 2.0 * max(rho, 1.0 - rho)
+    return 1.0 - (math.exp(-t * near) + math.exp(-t * far) - 2.0 * math.exp(-2.0 * t)) / (1.0 - math.exp(-2.0 * t))
 
 
 def _rhs_negative_array(kappaL, rho) -> tuple[np.ndarray, np.ndarray]:
@@ -134,12 +134,12 @@ def _rhs_negative_array(kappaL, rho) -> tuple[np.ndarray, np.ndarray]:
     out[mid] = 1.0 - deficit
     slope[mid] = (deficit * (s + e) - m * np.sinh(tm * m) - e) / s  # cosh t = sinh t + e^-t
     if high.any():
-        th = t[high]
-        m = np.abs(2.0 * rho[high] - 1.0)
-        e1, e2, e3 = np.exp(-th * (1.0 - m)), np.exp(-th * (1.0 + m)), np.exp(-2.0 * th)
+        th, rh = t[high], rho[high]
+        near, far = 2.0 * np.minimum(rh, 1.0 - rh), 2.0 * np.maximum(rh, 1.0 - rh)  # 1 -+ mu, as in rhs_negative
+        e1, e2, e3 = np.exp(-th * near), np.exp(-th * far), np.exp(-2.0 * th)
         deficit = (e1 + e2 - 2.0 * e3) / (1.0 - e3)
         out[high] = 1.0 - deficit
-        slope[high] = ((1.0 - m) * e1 + (1.0 + m) * e2 - 4.0 * e3 + 2.0 * deficit * e3) / (1.0 - e3)
+        slope[high] = (near * e1 + far * e2 - 4.0 * e3 + 2.0 * deficit * e3) / (1.0 - e3)
     return out, slope
 
 
@@ -458,8 +458,8 @@ def find_negative_root(config: DimensionlessConfig) -> EigenState | None:
     fc = _threshold_coupling(rho)
     if not (0.0 < f < fc):
         return None
-    if fc - f <= 1e-10:
-        c4 = _quartic_coeff(rho, f)
+    c4 = _quartic_coeff(rho, f)
+    if fc - f <= 1e-10 and c4 > 0.0:
         t = math.sqrt((fc - f) / c4)
         return EigenState(ORDINARY_NEGATIVE, t, -t * t, abs(negative_residual(t, config)))
     fn = lambda t: negative_residual(t, config)
@@ -510,9 +510,10 @@ def ground_states(rho, f) -> np.ndarray:
     ``rho`` and ``f`` broadcast together; the energies come back in their
     shape.  Each point gets the bracket ``ground_state`` solves:
 
-    * 0 < f, fc - f > 1e-10 (fc = 2 rho (1 - rho)): the bound root of
-      f t - rhs_negative(t) on (1e-9, 4 max(1, 1/f)), lower sign -1;
-    * 0 < fc - f <= 1e-10: the series root t = sqrt((fc - f) / c4);
+    * 0 < f < fc (fc = 2 rho (1 - rho)) outside the series band below: the
+      bound root of f t - rhs_negative(t) on (1e-9, 4 max(1, 1/f)), lower
+      sign -1;
+    * 0 < fc - f <= 1e-10 and c4 > 0: the series root t = sqrt((fc - f) / c4);
     * f == fc: the marginal zero;
     * f > fc: the scalar ``_small_positive_root`` where its series applies
       (c4 > 0 and t_est < 0.5), otherwise g on (0, pi), lower sign +1;
@@ -534,8 +535,8 @@ def ground_states(rho, f) -> np.ndarray:
     c4 = _quartic_coeff(rho, f)
     with np.errstate(divide="ignore", invalid="ignore"):  # NaN where (f - fc) / c4 < 0, and at f = inf
         series = (c4 > 0.0) & (np.sqrt((f - fc) / c4) < 0.5)
-    near = (f > 0.0) & (f < fc) & (fc - f <= 1e-10)
-    b = np.flatnonzero((f > 0.0) & (fc - f > 1e-10))
+    near = (f > 0.0) & (f < fc) & (fc - f <= 1e-10) & (c4 > 0.0)
+    b = np.flatnonzero((f > 0.0) & (f < fc) & ~near)
     at_pi = decoupled(np.sin(np.pi * rho), f, 1) & ((f > fc) & ~series | (f < 0.0))
     u = np.flatnonzero((f > fc) & ~series & ~at_pi)
     r = np.flatnonzero((f < 0.0) & ~at_pi)

@@ -13,7 +13,7 @@ import pytest
 
 import wellspec as ws
 from wellspec.cli import main
-from wellspec.oracle import extrapolated_oracle_spectrum
+from wellspec.oracle import oracle_spectrum
 
 
 def _verdict(capsys, label, failures):
@@ -139,13 +139,13 @@ ORACLE_CONFIGS = [
 
 
 def test_criterion_3_oracle_equivalence(capsys):
-    """Lowest 8 energies vs Richardson-extrapolated sine-basis eigenvalues."""
+    """Lowest 8 energies vs tail-corrected sine-basis eigenvalues from one truncation."""
     failures = []
     t0 = time.perf_counter()
     for cfg in ORACLE_CONFIGS:
         exact = ws.full_spectrum(cfg, 16.0 * math.pi).energies[:8]
-        extr = extrapolated_oracle_spectrum(cfg, 8, 2000)
-        for i, (e, o) in enumerate(zip(exact, extr)):
+        oracle = oracle_spectrum(cfg, 8, 1000)
+        for i, (e, o) in enumerate(zip(exact, oracle)):
             tol = max(1e-6 * abs(e), 1e-4 if abs(e) < 1.0 else 0.0)
             _check(failures, abs(o - e) <= tol,
                    f"rho={cfg.rho:.4f} f={cfg.f}: level {i} exact {e:.9g} oracle {o:.9g}")

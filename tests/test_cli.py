@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import wellspec.cli as cli
+import wellspec.oracle
 import wellspec.spectrum
 from wellspec.cli import RunReport, main
 from wellspec.errors import SolverFailure
@@ -72,7 +73,7 @@ class TestJsonReport:
         loaded = json.loads(out.read_text())
         assert loaded["schema"] == 2
         assert loaded["config"]["rho_exact"] == {"p": 2, "n": 5}
-        report = RunReport.from_dict(loaded)
+        report = RunReport(**loaded)
         assert report.to_dict() == loaded
         kinds = [e["kind"] for e in loaded["entries"]]
         assert "nodal" in kinds and "ordinary_positive" in kinds
@@ -113,6 +114,12 @@ class TestExitCodes:
         assert main(["sweep-ground", "--f-list", "0.4", "--rho-steps", "5"]) == 3
         assert "residual" in capsys.readouterr().err
 
+    def test_check_oracle_past_its_truncation_exit_3(self, capsys):
+        # all 10 levels of an m = 10 truncation: the top one lies past the range of the tail
+        rc = main(["check", "--rho-real", "0.3", "--f", "-0.1", "--count", "10", "--oracle-m", "10"])
+        assert rc == 3
+        assert "outer bracket end" in capsys.readouterr().err
+
     def test_check_failure_exit_4(self, capsys):
         rc = main(
             ["check", "--rho", "1/2", "--f", "-0.2", "--count", "6", "--kmax", "8",
@@ -126,6 +133,20 @@ class TestExitCodes:
         assert main(["check", "--rho-real", "0.5", "--f", "-0.2", "--count", "4"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out and out.count("PASS") == 5
+
+    @pytest.mark.parametrize("position", [["--rho", "2/5", "--f", "0.01"], ["--rho-real", "0.37", "--f", "0.03"]])
+    def test_check_strong_attraction_passes(self, position, capsys):
+        # the bound level sits far below the free-well ladder; the oracle's tail must restore it
+        assert main(["check", *position]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out and out.count("PASS") == 5
+
+    def test_check_solves_the_oracle_once(self, monkeypatch, capsys):
+        calls = []
+        solve = wellspec.oracle.solve_brackets
+        monkeypatch.setattr(wellspec.oracle, "solve_brackets", lambda *a: calls.append(1) or solve(*a))
+        assert main(["check", "--rho-real", "0.37", "--f", "0.03"]) == 0
+        assert len(calls) == 1
 
     def test_check_passes_exit_0(self, capsys):
         rc = main(["check", "--rho", "1/2", "--f", "-0.2", "--count", "6", "--kmax", "8", "--oracle-m", "800"])

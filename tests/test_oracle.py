@@ -1,4 +1,4 @@
-"""Sine-basis spectral cross-check: matrix structure, eigensolvers, extrapolation."""
+"""Sine-basis spectral cross-check: matrix structure, tail correction, eigensolvers."""
 
 import math
 
@@ -6,15 +6,60 @@ import numpy as np
 import pytest
 
 import wellspec as ws
-from wellspec.oracle import (
-    SineBasisMatrix,
-    build_matrix,
-    extrapolated_oracle_spectrum,
-    jacobi_eigenvalues,
-    lowest_eigenvalues,
-    oracle_spectrum,
-    richardson,
-)
+import wellspec.oracle
+from wellspec.errors import ConvergenceFailure
+from wellspec.oracle import SineBasisMatrix, build_matrix, lowest_eigenvalues, oracle_spectrum
+
+
+def dense(matrix: SineBasisMatrix) -> np.ndarray:
+    """The truncated matrix, materialized: diagonal plus sigma u u^T, with no tail."""
+    return np.diag(matrix.diag) + matrix.sigma * np.outer(matrix.coupling, matrix.coupling)
+
+
+def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60) -> np.ndarray:
+    """All eigenvalues of a dense symmetric matrix by cyclic Jacobi rotations.
+
+    Slow but simple; the dense reference for the secular solver.
+    """
+    a = np.array(a, dtype=float, copy=True)
+    n = a.shape[0]
+    if a.shape != (n, n) or not np.allclose(a, a.T, atol=1e-12 * max(1.0, float(np.abs(a).max()))):
+        raise ValueError("matrix must be square symmetric")
+    scale = float(np.linalg.norm(a))
+    for _ in range(max_sweeps):
+        off = float(np.linalg.norm(a - np.diag(np.diag(a))))
+        if off <= tol * max(scale, 1.0):
+            return np.sort(np.diag(a))
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= 1e-300:
+                    continue
+                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                rp = a[p, :].copy()
+                rq = a[q, :].copy()
+                a[p, :] = c * rp - s * rq
+                a[q, :] = s * rp + c * rq
+                cp = a[:, p].copy()
+                cq = a[:, q].copy()
+                a[:, p] = c * cp - s * cq
+                a[:, q] = s * cp + c * cq
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+    raise ConvergenceFailure(f"Jacobi sweeps did not reduce off-diagonal norm below {tol}")
+
+
+def _no_tail(matrix):
+    """Stands in for ``oracle._tail`` so the oracle solves the plain truncated matrix."""
+    return lambda lam: (0.0, 0.0)
+
+
+@pytest.fixture
+def no_tail(monkeypatch):
+    monkeypatch.setattr(wellspec.oracle, "_tail", _no_tail)
 
 
 class TestBuildMatrix:
@@ -32,13 +77,7 @@ class TestBuildMatrix:
     def test_zero_coupling_sentinel_is_diagonal(self):
         m = build_matrix(ws.DimensionlessConfig.generic(0.3, math.inf), 6)
         assert m.sigma == 0.0
-        dense = m.entries
-        assert np.allclose(dense, np.diag((np.arange(1, 7) * np.pi) ** 2))
-
-    def test_dense_form_symmetric(self):
-        m = build_matrix(ws.DimensionlessConfig.generic(0.37, -0.8), 40)
-        dense = m.entries
-        assert np.allclose(dense, dense.T, atol=1e-12 * np.abs(dense).max())
+        assert np.allclose(dense(m), np.diag((np.arange(1, 7) * np.pi) ** 2))
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
@@ -47,7 +86,7 @@ class TestBuildMatrix:
 
 class TestLowestEigenvalues:
     def test_already_diagonal(self):
-        m = SineBasisMatrix(3, np.array([1.0, 4.0, 9.0]), np.zeros(3), 0.0)
+        m = SineBasisMatrix(3, np.array([1.0, 4.0, 9.0]), np.zeros(3), 0.0, 0.5)
         assert lowest_eigenvalues(m, 2) == [1.0, 4.0]
 
     def test_free_well_ladder(self):
@@ -61,8 +100,8 @@ class TestLowestEigenvalues:
         with pytest.raises(ValueError):
             lowest_eigenvalues(m, 6)
 
-    def test_secular_matches_jacobi(self):
-        # independent dense eigensolver agrees with the rank-one secular path
+    def test_secular_matches_jacobi(self, no_tail):
+        # independent dense eigensolver agrees with the rank-one secular path on the truncated matrix
         for cfg in (
             ws.DimensionlessConfig.exact(1, 2, -0.2),
             ws.DimensionlessConfig.generic(0.3183, 1.0),
@@ -70,9 +109,9 @@ class TestLowestEigenvalues:
         ):
             m = build_matrix(cfg, 90)
             secular = np.array(lowest_eigenvalues(m, 90))
-            dense = jacobi_eigenvalues(m.entries)
-            scale = np.maximum(np.abs(dense), 1.0)
-            assert np.max(np.abs(secular - dense) / scale) < 1e-12
+            dense_vals = jacobi_eigenvalues(dense(m))
+            scale = np.maximum(np.abs(dense_vals), 1.0)
+            assert np.max(np.abs(secular - dense_vals) / scale) < 1e-12
 
     def test_jacobi_known_spectrum(self):
         # 100x100 matrix with known eigenvalues via an orthogonal similarity
@@ -88,17 +127,19 @@ class TestLowestEigenvalues:
         with pytest.raises(ValueError):
             jacobi_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
-    def test_variational_monotonicity_and_bound_limit(self):
+    def test_variational_monotonicity_and_bound_limit(self, monkeypatch):
         cfg = ws.DimensionlessConfig.exact(1, 2, 0.1)
+        # the ground level approaches -1/f^2 = -100 from above
+        ground = oracle_spectrum(cfg, 1, 1000)[0]
+        assert ground > -100.0
+        assert ground == pytest.approx(-100.0, abs=0.5)
+        monkeypatch.setattr(wellspec.oracle, "_tail", _no_tail)
         prev = None
         for m in (250, 500, 1000, 2000):
             vals = np.array(oracle_spectrum(cfg, 6, m))
             if prev is not None:
-                assert np.all(vals <= prev + 1e-9)  # Rayleigh-Ritz: levels only descend
+                assert np.all(vals <= prev + 1e-9)  # Rayleigh-Ritz: levels of the plain truncation only descend
             prev = vals
-        # ground level approaches -1/f^2 = -100 from above
-        assert prev[0] > -100.0
-        assert prev[0] == pytest.approx(-100.0, abs=0.5)
 
     def test_nodal_sector_exact_at_any_truncation(self):
         cfg = ws.DimensionlessConfig.exact(2, 5, 0.07)
@@ -108,24 +149,41 @@ class TestLowestEigenvalues:
             assert min(abs(v - target) for v in vals) < 1e-9 * target
 
 
-class TestRichardson:
-    def test_formula(self):
-        assert richardson([3.0], [2.0])[0] == pytest.approx(1.0)
-        assert richardson([3.0], [2.0], ratio=4.0)[0] == pytest.approx(2.0 - 1.0 / 3.0)
+class TestTail:
+    def test_error_falls_sixfold_per_doubling(self):
+        # strong attraction: the raw truncation is off by ~4e5/M here, the tail-corrected one by ~1/M^4
+        cfg = ws.DimensionlessConfig.exact(2, 5, 0.01)
+        exact = np.array(ws.full_spectrum(cfg, 12.0 * math.pi).energies[:6])
+        errs = [np.abs(np.array(oracle_spectrum(cfg, 6, m)) - exact).max() for m in (250, 500, 1000)]
+        assert errs[0] > 6.0 * errs[1] > 36.0 * errs[2]
+        assert errs[2] <= 1e-6 * np.abs(exact).max()
 
-    def test_extrapolation_beats_raw_truncation(self):
-        cfg = ws.DimensionlessConfig.exact(1, 2, -0.2)
-        exact = ws.full_spectrum(cfg, 12.0 * math.pi).energies[:6]
-        raw = np.array(oracle_spectrum(cfg, 6, 1000))
-        extr = extrapolated_oracle_spectrum(cfg, 6, 500)
-        raw_err = np.abs(raw - exact).max()
-        extr_err = np.abs(extr - exact).max()
-        assert extr_err < 0.05 * raw_err
-        assert extr_err < 1e-4
+    def test_tail_restores_the_dropped_terms(self):
+        # T_m - T_n is the explicit sum over m < i <= n: exactly at lam = 0 (the B2 identity);
+        # its lam-dependent part, from the mean of sin^2 and the midpoint rule, to ~1%
+        cfg = ws.DimensionlessConfig.generic(0.37, 0.03)
+        small, large = build_matrix(cfg, 200), build_matrix(cfg, 20000)
+        lam = np.array([-1.0e4, -50.0, 0.0, 30.0, 900.0])
+        between = (large.coupling[200:] ** 2 / (large.diag[200:] - lam[:, None])).sum(axis=1)
+        t_small, slope = wellspec.oracle._tail(small)(lam)
+        t_large = wellspec.oracle._tail(large)(lam)[0]
+        dropped = t_small - t_large
+        assert dropped[2] == pytest.approx(between[2], rel=1e-12)
+        assert dropped - dropped[2] == pytest.approx(between - between[2], rel=0.02)
+        h = 1e-3 * np.maximum(np.abs(lam), 1.0)
+        fd = (wellspec.oracle._tail(small)(lam + h)[0] - wellspec.oracle._tail(small)(lam - h)[0]) / (2.0 * h)
+        assert slope == pytest.approx(fd, rel=1e-5)
 
-    def test_truncation_error_decays_like_one_over_m(self):
-        cfg = ws.DimensionlessConfig.generic(0.3183, 1.0)
-        exact = ws.full_spectrum(cfg, 8.0 * math.pi).energies[0]
-        errs = [abs(oracle_spectrum(cfg, 1, m)[0] - exact) for m in (250, 500, 1000)]
-        assert 1.5 < errs[0] / errs[1] < 2.7
-        assert 1.5 < errs[1] / errs[2] < 2.7
+    def test_outer_end_sign_is_checked(self):
+        # all 10 levels of a repulsive m = 10 truncation: the Weyl end lies past the tail's range
+        with pytest.raises(ConvergenceFailure):
+            oracle_spectrum(ws.DimensionlessConfig.generic(0.3, -0.1), 10, 10)
+
+    def test_wrong_sign_at_outer_end_raises_before_solving(self, monkeypatch):
+        # a tail that pulls w below 0 at the Weyl end would send the lowest bracket to a wrong root
+        monkeypatch.setattr(wellspec.oracle, "_tail", lambda matrix: lambda lam: (1.0, 0.0))
+        solves = []
+        monkeypatch.setattr(wellspec.oracle, "solve_brackets", lambda *a: solves.append(a))
+        with pytest.raises(ConvergenceFailure):
+            oracle_spectrum(ws.DimensionlessConfig.generic(0.3, 0.1), 4, 50)
+        assert not solves

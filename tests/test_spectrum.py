@@ -6,6 +6,7 @@ not by the package under test, and then pinned here to full precision.
 """
 
 import math
+import warnings
 from contextlib import contextmanager
 from decimal import Decimal, localcontext
 
@@ -274,6 +275,21 @@ class TestFindNegativeRoot:
         # the conditioning, eps fc / (fc - f), allows ~5e-11 relative.
         cfg = _gen(0.135, 2.0 * 0.135 * (1.0 - 0.135) - 1e-6)
         assert ws.find_negative_root(cfg).k == pytest.approx(0.010488121695145623539, rel=1e-9)
+
+    def test_near_wall_near_threshold_root(self):
+        # 1e-13 below the threshold next to a wall the quartic coefficient c4 is
+        # negative, so the series root does not exist; the bracketed solve meets
+        # kappa L = 5e4 in the exp form of rhs_negative, whose near exponent must
+        # be 2 rho exactly. The reference is a 50-digit mpmath root of the same
+        # equation at the same float inputs.
+        want = 50001.666736129591176929
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            entry = ws.full_spectrum(_gen(1e-9, 1.9999e-9)).entries[0]
+            energy = ws.ground_states(1e-9, 1.9999e-9)
+        assert entry.kind == ws.ORDINARY_NEGATIVE
+        assert entry.k == pytest.approx(want, rel=1e-6)
+        assert math.sqrt(-energy) == pytest.approx(want, rel=1e-6)
 
     def test_scaled_residual_certificate(self):
         s = ws.find_negative_root(_gen(0.33, 0.2))
