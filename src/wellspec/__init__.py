@@ -39,7 +39,6 @@ from .wavefn import (
     gram_matrix,
     inner_product,
     matching_defect,
-    step_limit_wave,
 )
 from .oracle import SineBasisMatrix, build_matrix, lowest_eigenvalues, oracle_spectrum
 

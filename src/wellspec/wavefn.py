@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, InconsistentState
 from .model import DimensionlessConfig
 from .spectrum import (
@@ -156,18 +158,6 @@ def build_wave(
     raise InconsistentState(f"unknown state kind {state.kind!r}")
 
 
-def step_limit_wave(j: int) -> PiecewiseWave:
-    """Strong-coupling limit of the j-th ordinary state at rho = 1/2.
-
-    A step-sign copy of the nodal sine: even about the midpoint, discontinuous
-    slope at it.  Exists only in the limit of vanishing coupling; never part
-    of a finite-coupling spectrum.
-    """
-    k = 2.0 * j * math.pi
-    amp = math.sqrt(2.0)
-    return PiecewiseWave(OSCILLATORY, k, 0.5, amp, amp, 1.0)
-
-
 def _left_value(w: PiecewiseWave, x: float) -> float:
     if w.kind == EVANESCENT:
         t = w.k * x
@@ -188,11 +178,15 @@ def _right_value(w: PiecewiseWave, x: float) -> float:
 
 def evaluate(wave: PiecewiseWave, x: float) -> float:
     """Wave value at x in [0, 1]; exactly zero at both walls."""
-    if not 0.0 <= x <= 1.0:
+    if not 0.0 < x < 1.0:
+        if x == 0.0 or x == 1.0:
+            return 0.0
         raise DomainError(f"x={x} outside the unit well")
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return _left_value(wave, x) if x <= wave.rho else _right_value(wave, x)
+    if wave.kind == EVANESCENT:
+        return _left_value(wave, x) if x <= wave.rho else _right_value(wave, x)
+    if x <= wave.rho:
+        return wave.amp_left * math.sin(wave.k * x)
+    return wave.amp_right * math.sin(wave.k * (1.0 - x))
 
 
 def _left_slope_at_junction(w: PiecewiseWave) -> float:
@@ -270,8 +264,6 @@ def inner_product(w1: PiecewiseWave, w2: PiecewiseWave) -> float:
 
 def gram_matrix(waves: list[PiecewiseWave]):
     """Symmetric matrix of pairwise inner products."""
-    import numpy as np
-
     n = len(waves)
     g = np.empty((n, n))
     for i in range(n):

@@ -9,6 +9,7 @@ import wellspec as ws
 import wellspec.oracle
 from wellspec.errors import ConvergenceFailure
 from wellspec.oracle import SineBasisMatrix, build_matrix, lowest_eigenvalues, oracle_spectrum
+from wellspec.spectrum import _EPS
 
 
 def dense(matrix: SineBasisMatrix) -> np.ndarray:
@@ -60,6 +61,28 @@ def _no_tail(matrix):
 @pytest.fixture
 def no_tail(monkeypatch):
     monkeypatch.setattr(wellspec.oracle, "_tail", _no_tail)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """One (lo_sign, calls, roots) entry per oracle bracket solve; calls lists each (x, idx, value) of ``fn``."""
+    record = []
+    solve = wellspec.oracle.solve_brackets
+
+    def recorded_solve(fn, lo, hi, lo_sign):
+        calls = []
+
+        def recorded(x, idx):
+            v, dv = fn(x, idx)
+            calls.append((x.copy(), idx.copy(), v.copy()))
+            return v, dv
+
+        roots = solve(recorded, lo, hi, lo_sign)
+        record.append((lo_sign, calls, roots))
+        return roots
+
+    monkeypatch.setattr(wellspec.oracle, "solve_brackets", recorded_solve)
+    return record
 
 
 class TestBuildMatrix:
@@ -187,3 +210,32 @@ class TestTail:
         with pytest.raises(ConvergenceFailure):
             oracle_spectrum(ws.DimensionlessConfig.generic(0.3, 0.1), 4, 50)
         assert not solves
+
+
+class TestSecularPasses:
+    def test_pass_budget(self, solves):
+        # the pole-free product takes ~10 evaluations per solve; Newton on w itself took ~17
+        for f in (0.01, 0.1, 1.0, 10.0, -0.01, -0.1, -1.0, -10.0):
+            for p, n in ((1, 2), (1, 3), (2, 5), (3, 7)):
+                oracle_spectrum(ws.DimensionlessConfig.exact(p, n, f), 8, 1000)
+            for rho in (0.1234, 0.37, 0.61803, 0.9):
+                oracle_spectrum(ws.DimensionlessConfig.generic(rho, f), 8, 1000)
+        assert len(solves) == 64
+        assert np.mean([len(calls) for _, calls, _ in solves]) <= 11.0
+
+    @pytest.mark.parametrize("f", [50.0, -50.0, 400.0, -400.0])
+    def test_roots_hugging_a_pole(self, solves, f):
+        # 1e-7 off 2/5 the level 5 pi keeps a weight of ~2.5e-12: its root lies within rounding of the pole
+        cfg = ws.DimensionlessConfig.generic(0.4 + 1e-7, f)
+        exact = np.array(ws.full_spectrum(cfg, 12.0 * math.pi).energies[:8])
+        got = np.array(oracle_spectrum(cfg, 8, 1000))
+        assert np.all(np.abs(got - exact) <= np.maximum(1e-5 * np.abs(exact), 1e-3))
+        # no bisection fallback: the last evaluation is the certificate at root -+ tol, and it shows the sign change
+        lo_sign, calls, roots = solves[0]
+        x, idx, v = calls[-1]
+        r = roots[idx]
+        tol = 4.0 * _EPS * np.maximum(1.0, np.abs(r))
+        below = x == r - tol
+        assert np.all(below | (x == r + tol))
+        side = v * lo_sign
+        assert np.all(side[below] >= 0.0) and np.all(side[~below] <= 0.0)

@@ -7,7 +7,8 @@ import pytest
 from scipy.integrate import quad
 
 import wellspec as ws
-from wellspec.wavefn import EVANESCENT, NODAL_WAVE, OSCILLATORY
+from wellspec import wavefn
+from wellspec.wavefn import EVANESCENT, NODAL_WAVE, OSCILLATORY, PiecewiseWave
 
 
 def _exact(p, n, f):
@@ -20,6 +21,25 @@ def _gen(rho, f):
 
 def _first_states(config, count, k_max=20.0 * math.pi):
     return ws.full_spectrum(config, k_max).entries[:count]
+
+
+def step_limit_wave(j: int) -> PiecewiseWave:
+    """Strong-coupling limit of the j-th ordinary state at rho = 1/2.
+
+    A step-sign copy of the nodal sine: even about the midpoint, discontinuous
+    slope at it.  Exists only in the limit of vanishing coupling; never part
+    of a finite-coupling spectrum.
+    """
+    k = 2.0 * j * math.pi
+    amp = math.sqrt(2.0)
+    return PiecewiseWave(OSCILLATORY, k, 0.5, amp, amp, 1.0)
+
+
+def _composed_value(w, x):
+    """The wave value as the segment helpers give it: the reference for ``evaluate`` on [0, 1]."""
+    if x == 0.0 or x == 1.0:
+        return 0.0
+    return wavefn._left_value(w, x) if x <= w.rho else wavefn._right_value(w, x)
 
 
 class TestBuildWave:
@@ -102,6 +122,39 @@ class TestEvaluate:
             ws.evaluate(w, -0.01)
         with pytest.raises(ws.DomainError):
             ws.evaluate(w, 1.01)
+
+    def test_walls_and_signed_zero_give_exact_zero(self):
+        cfg = _gen(0.3, 0.1)
+        for s in _first_states(cfg, 3):
+            w = ws.build_wave(s, cfg)
+            for x in (0.0, -0.0, 1.0):
+                assert ws.evaluate(w, x) == 0.0
+
+    def test_nan_and_points_just_outside_rejected(self):
+        cfg = _gen(0.3, 0.1)
+        for s in _first_states(cfg, 3):
+            w = ws.build_wave(s, cfg)
+            for x in (math.nan, -1e-300, 1.0 + 2.3e-16):
+                with pytest.raises(ws.DomainError):
+                    ws.evaluate(w, x)
+
+    def test_grid_values_match_the_segment_helpers_bitwise(self):
+        nodal_cfg = _exact(2, 5, 0.7)
+        strong = _gen(0.3, 9.9e-5)
+        cases = [
+            (nodal_cfg, ws.enumerate_nodal(nodal_cfg.rational, 6.0 * math.pi)[0]),
+            (strong, ws.find_negative_root(strong)),
+        ]
+        for cfg in (_gen(0.37, 0.7), _gen(0.3, 0.1), _exact(1, 2, -0.2)):
+            cases += [(cfg, s) for s in _first_states(cfg, 8)]
+        waves = [ws.build_wave(s, cfg) for cfg, s in cases]
+        assert {w.kind for w in waves} == {OSCILLATORY, NODAL_WAVE, EVANESCENT}
+        assert waves[1].kind == EVANESCENT and waves[1].k >= 1e4
+        grid = [i / 1000.0 for i in range(1001)]
+        for w in waves:
+            got = np.array([ws.evaluate(w, x) for x in grid])
+            ref = np.array([_composed_value(w, x) for x in grid])
+            assert got.tobytes() == ref.tobytes()
 
     def test_ground_antinode_positive(self):
         cfg = _gen(0.5, -0.5)
@@ -202,19 +255,19 @@ class TestSymmetryAndLimits:
             assert ws.evaluate(w, 0.5 + d) == pytest.approx(-ws.evaluate(w, 0.5 - d), abs=1e-12)
 
     def test_step_limit_states(self):
-        w1 = ws.step_limit_wave(1)
+        w1 = step_limit_wave(1)
         assert w1.kind == OSCILLATORY
         assert w1.k == pytest.approx(2.0 * math.pi)
         for d in (0.05, 0.17, 0.31):
             assert ws.evaluate(w1, 0.5 + d) == pytest.approx(ws.evaluate(w1, 0.5 - d), abs=1e-12)
         assert ws.inner_product(w1, w1) == pytest.approx(1.0, abs=1e-12)
-        w2 = ws.step_limit_wave(2)
+        w2 = step_limit_wave(2)
         assert abs(ws.inner_product(w1, w2)) < 1e-12
 
     def test_step_limit_orthogonal_to_nodal(self):
         cfg = _exact(1, 2, 1e-6)
         wn = ws.build_wave(ws.enumerate_nodal(cfg.rational, 5.0 * math.pi)[0], cfg)
-        assert abs(ws.inner_product(ws.step_limit_wave(1), wn)) < 1e-12
+        assert abs(ws.inner_product(step_limit_wave(1), wn)) < 1e-12
 
     def test_strong_limit_even_about_center(self):
         cfg = _exact(1, 2, 1e-3)
