@@ -19,11 +19,8 @@ from .spectrum import (
     decoupled,
     dispersion_residual,
     enumerate_nodal,
-    find_negative_root,
     negative_residual,
-    find_ordinary_positive,
     full_spectrum,
-    ground_state,
     ground_states,
     near_wall_energy,
     rhs_negative,

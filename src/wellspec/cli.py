@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import oracle, spectrum, wavefn
-from .errors import SolverFailure
-from .model import DimensionlessConfig
+from .errors import PositionOutOfRange, SolverFailure
+from .model import DimensionlessConfig, reduce_position
 
 SCHEMA_VERSION = 2
 
@@ -94,7 +94,13 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
             fh.close()
 
 
+def _check_count(count: int | None) -> None:
+    if count is not None and count < 1:
+        raise ValueError(f"--count must be at least 1, got {count}")
+
+
 def cmd_spectrum(args) -> int:
+    _check_count(args.count)
     config = _parse_rho_flags(args)
     k_max = args.kmax * math.pi
     spec = spectrum.full_spectrum(config, k_max)
@@ -122,9 +128,11 @@ def cmd_spectrum(args) -> int:
 def cmd_dispersion_curve(args) -> int:
     if "/" in args.rho:
         p_str, _, n_str = args.rho.partition("/")
-        rho = int(p_str) / int(n_str)
+        rho = reduce_position(int(p_str), int(n_str)).value
     else:
         rho = float(args.rho)
+        if not 0.0 < rho < 1.0:
+            raise PositionOutOfRange(f"--rho {args.rho} must lie strictly inside (0, 1)")
     if args.samples_per_pi < 1:
         raise ValueError(f"--samples-per-pi must be positive, got {args.samples_per_pi}")
     n_samples = int(round(args.kmax * args.samples_per_pi))
@@ -192,6 +200,7 @@ def _run_checks(args, config: DimensionlessConfig) -> tuple[dict, bool]:
 
 
 def cmd_check(args) -> int:
+    _check_count(args.count)
     config = _parse_rho_flags(args)
     checks, ok = _run_checks(args, config)
     for name, c in checks.items():

@@ -39,8 +39,6 @@ class EigenState(NamedTuple):
     ``k`` is kL for the positive kinds and kappa*L for the negative kind.
     ``residual`` is the absolute dispersion residual at the accepted root;
     nodal states carry 0.0 because their residual vanishes identically.
-    The marginal zero-energy state (f exactly at the binding threshold) is
-    reported as ordinary_positive with k = 0.
     """
 
     kind: str
@@ -66,10 +64,6 @@ def dispersion_residual(kL, config: DimensionlessConfig):
     """g(kL); zero exactly at nodal and ordinary positive-energy roots."""
     rho = config.rho
     return config.f * kL * np.sin(kL) - 2.0 * np.sin(kL * rho) * np.sin(kL * (1.0 - rho))
-
-
-def _g_scalar(kL: float, rho: float, f: float) -> float:
-    return f * kL * math.sin(kL) - 2.0 * math.sin(kL * rho) * math.sin(kL * (1.0 - rho))
 
 
 def rhs_positive(kL, rho: float, pole_eps: float = 1e-9):
@@ -146,34 +140,6 @@ def _rhs_negative_array(kappaL, rho) -> tuple[np.ndarray, np.ndarray]:
 def negative_residual(kappaL: float, config: DimensionlessConfig) -> float:
     """Scaled negative-energy residual f*kappaL - rhs_negative; zero at the bound root."""
     return config.f * kappaL - rhs_negative(kappaL, config.rho)
-
-
-def _bisect(fn, lo: float, hi: float, flo: float, fhi: float) -> float:
-    """Bisection inside a certified bracket down to machine-relative width.
-
-    Only the signs of ``flo`` and ``fhi`` are used, so a caller that knows
-    the endpoint signs may pass them as +-1 instead of evaluating ``fn``.
-    """
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise SolverFailure(f"bracket [{lo}, {hi}] does not straddle a root", (lo, hi))
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0.0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-        if hi - lo <= 4.0 * _EPS * max(1.0, abs(hi)):
-            break
-    return 0.5 * (lo + hi)
 
 
 def solve_brackets(fn, lo, hi, lo_sign, max_iter: int = _MAX_BISECT) -> np.ndarray:
@@ -321,37 +287,54 @@ def _quartic_coeff(rho: float, f: float) -> float:
     return f / 6.0 - rho * (1.0 - rho) * (rho * rho + (1.0 - rho) * (1.0 - rho)) / 3.0
 
 
-def _small_positive_root(config: DimensionlessConfig) -> EigenState | None:
-    """Ground root just above zero energy when f exceeds the binding threshold.
+def _series_root(rho, f):
+    """The root sqrt(|f - fc| / c4) of g's series (f - fc) t^2 - c4 t^4 where it is used; NaN elsewhere.
 
-    Near the threshold g is of order (f - fc) k^2 on most of (0, pi), below
-    its rounding error, so this root is bracketed from the small-k series
-    estimate t^2 ~ (f - fc)/c4 instead.
+    Within 1e-10 below the threshold fc it is the bound root, and within
+    1e-10 above it the lowest positive root: g and the bound form are below
+    their rounding error there, so the series root is sharper.  Further above
+    fc, while it lies below 0.5, it narrows the bracket of that root.  Takes
+    scalars and arrays alike.
     """
-    f, rho = config.f, config.rho
-    fc = _threshold_coupling(rho)
-    if not (f > 0.0 and f > fc):
-        return None
-    c4 = _quartic_coeff(rho, f)
-    if c4 <= 0.0:
-        return None
-    t_est = math.sqrt((f - fc) / c4)
-    if not t_est < 0.5:
-        return None  # far from threshold (or f = inf); the (0, pi) bracket resolves it
-    if f - fc <= 1e-10:
-        # below the cancellation floor of g; the series root is sharper
-        return EigenState(ORDINARY_POSITIVE, t_est, t_est * t_est, abs(_g_scalar(t_est, rho, f)))
-    lo, hi = 0.25 * t_est, min(4.0 * t_est, 0.9 * math.pi)
-    fn = lambda t: _g_scalar(t, rho, f)
-    flo, fhi = fn(lo), fn(hi)
-    tries = 0
-    while flo * fhi > 0.0 and tries < 40:
-        lo *= 0.5
-        flo = fn(lo)
-        tries += 1
-    root = _bisect(fn, lo, hi, flo, fhi)
-    res = abs(_g_scalar(root, rho, f))
-    return EigenState(ORDINARY_POSITIVE, root, root * root, res)
+    fc, c4 = _threshold_coupling(rho), _quartic_coeff(rho, f)
+    with np.errstate(divide="ignore", invalid="ignore"):  # NaN where c4 <= 0, and at f = inf
+        t = np.sqrt(np.abs(f - fc) / c4)
+    below = (f > 0.0) & (f < fc) & (fc - f <= 1e-10)
+    return np.where((c4 > 0.0) & (below | (f > fc) & (t < 0.5)), t, np.nan)
+
+
+def _table_residual(rho, f, bound: int, interlacing: int, centers=None, config: DimensionlessConfig | None = None):
+    """The ``fn(x, idx)`` of ``solve_brackets`` for a table of brackets, each solved in the form its number picks.
+
+    Brackets [0, bound) hold the bound form f t - rhs_negative(t), the next
+    ``interlacing`` hold g, and the rest the deflated form G(d) beside the
+    decoupled levels centers[i] pi of ``config``.  ``rho`` and ``f`` are
+    scalars, or arrays with one entry per bracket of the first two forms.
+    """
+    end = bound + interlacing
+    cuts = np.array((bound, end))
+    pick = (lambda a, j: a[j]) if np.ndim(f) else (lambda a, j: a)
+    g = lambda x, idx: _residual_and_slope(x, pick(rho, idx), pick(f, idx))
+    if not bound and (centers is None or not centers.size):
+        return g
+
+    def fn(x, idx):
+        # idx is ascending, so the brackets of each form come in one run
+        n, m = idx.searchsorted(cuts)
+        if n == 0 and m == x.size:  # g alone, as in the passes after the other forms are solved
+            return g(x, idx)
+        out, slope = np.empty(x.size), np.empty(x.size)
+        if n:
+            j = idx[:n]
+            rhs, drhs = _rhs_negative_array(x[:n], np.full(n, pick(rho, j)))  # rho in the shape of t: no broadcast
+            out[:n], slope[:n] = pick(f, j) * x[:n] - rhs, pick(f, j) - drhs
+        if m > n:
+            out[n:m], slope[n:m] = g(x[n:m], idx[n:m])
+        if m < x.size:
+            out[m:], slope[m:] = _deflated_residual(x[m:], centers[idx[m:] - end], config)
+        return out, slope
+
+    return fn
 
 
 def _certify(roots: np.ndarray, config: DimensionlessConfig) -> np.ndarray:
@@ -382,65 +365,6 @@ def decoupled(u, f, m):
     return u * u <= (abs(f) * m * math.pi + 2.0) * _EPS
 
 
-def find_ordinary_positive(config: DimensionlessConfig, k_max: float = DEFAULT_K_MAX) -> list[EigenState]:
-    """All ordinary positive-energy roots of the dispersion in (0, k_max].
-
-    g is the secular function of a diagonal-plus-rank-one operator, and
-    g(m pi) = 2 (-1)^m sin^2(m pi rho), so its roots interlace the free-well
-    levels m pi:
-
-    * each interval (m pi, (m+1) pi), m >= 1, holds exactly one root, with g
-      of sign (-1)^m just above m pi;
-    * (0, pi) holds one only above the binding threshold 2 rho (1 - rho);
-    * a ``decoupled`` level is a root at m pi itself, reported here unless it
-      is a nodal state.  The intervals beside a run of them merge into one
-      bracket holding one companion, past the run's end on the side of the
-      sign of f, solved in the deflated form ``_deflated_residual``; a run
-      from level 1 gets one only if (0, pi) holds a level.
-
-    Every bracket is solved at once by ``solve_brackets``, with endpoint
-    signs from this count rather than from g at a rounded multiple of pi.
-    The interval holding k_max is solved whole and its root kept when it lies
-    below k_max, which is the rule sign g(k_max) != (-1)^M for the partial
-    interval (M pi, k_max].
-    """
-    rho, f = config.rho, config.f
-    top = int(k_max // math.pi)  # index of the interval holding k_max
-    above = f > _threshold_coupling(rho)
-    small = _small_positive_root(config) if above else None
-    levels = np.arange(1, top + 2)
-    dec = decoupled(coupling(config, levels), f, levels)
-    coupled = np.concatenate(([True], ~dec))  # by level, from the origin
-    m = np.arange(0 if above and small is None else 1, top + 1)
-    m = m[coupled[m] & coupled[m + 1]]  # intervals beside no decoupled level
-    # a run's last level for f > 0, its first for f < 0
-    edge = dec & ~(np.concatenate((dec[1:], [False])) if f > 0.0 else np.concatenate(([False], dec[:-1])))
-    centers = levels[edge].astype(float)
-    if dec[0] and not above:
-        centers = centers[1:]  # the run from level 1 has no companion
-
-    g = lambda k, _: _residual_and_slope(k, rho, f)
-    roots = solve_brackets(g, m * math.pi, (m + 1) * math.pi, 1.0 - 2.0 * (m % 2))
-    if small is not None:
-        roots = np.concatenate(([small.k], roots))
-    shown = levels[dec]
-    if config.is_exact:
-        shown = shown[shown % config.rational.n != 0]  # the rest are enumerate_nodal's
-    if centers.size:
-        side = (0.0, math.pi) if f > 0.0 else (-math.pi, 0.0)
-        deflated = lambda d, i: _deflated_residual(d, centers[i], config)
-        ends = np.full(centers.size, side[0]), np.full(centers.size, side[1])
-        roots = np.concatenate((roots, centers * math.pi + solve_brackets(deflated, *ends, 1.0)))
-    if centers.size or shown.size:
-        roots = np.sort(np.concatenate((roots, shown * math.pi)))
-    roots = roots[roots <= k_max]
-    res = _certify(roots, config)
-    # tuple.__new__ builds the entries without the named tuple's Python-level __new__
-    energy = roots * roots
-    rows = zip(repeat(ORDINARY_POSITIVE), roots.tolist(), energy.tolist(), res.tolist(), repeat(None), repeat(None))
-    return list(map(tuple.__new__, repeat(EigenState), rows))
-
-
 def enumerate_nodal(pos: RationalPosition, k_max: float) -> list[EigenState]:
     """Nodal states kL = j*n*pi up to the ceiling; empty when n*pi exceeds it."""
     out = []
@@ -452,76 +376,24 @@ def enumerate_nodal(pos: RationalPosition, k_max: float) -> list[EigenState]:
     return out
 
 
-def find_negative_root(config: DimensionlessConfig) -> EigenState | None:
-    """The unique bound (negative-energy) root, present iff 0 < f < 2 rho (1-rho)."""
-    f, rho = config.f, config.rho
-    fc = _threshold_coupling(rho)
-    if not (0.0 < f < fc):
-        return None
-    c4 = _quartic_coeff(rho, f)
-    if fc - f <= 1e-10 and c4 > 0.0:
-        t = math.sqrt((fc - f) / c4)
-        return EigenState(ORDINARY_NEGATIVE, t, -t * t, abs(negative_residual(t, config)))
-    fn = lambda t: negative_residual(t, config)
-    lo = 1e-9
-    hi = 4.0 * max(1.0, 1.0 / f)
-    flo, fhi = fn(lo), fn(hi)
-    if flo >= 0.0 or fhi <= 0.0:
-        raise SolverFailure(f"negative-root bracket invalid for f={f}, rho={rho}", (lo, hi))
-    root = _bisect(fn, lo, hi, flo, fhi)
-    res = abs(negative_residual(root, config))
-    if res > _RESIDUAL_TOL:
-        raise SolverFailure(f"negative root residual {res:.3e}", (lo, hi))
-    return EigenState(ORDINARY_NEGATIVE, root, -root * root, res)
-
-
-def ground_state(config: DimensionlessConfig) -> EigenState:
-    """Lowest-energy state; continuous in f across the zero-energy crossing."""
-    neg = find_negative_root(config)
-    if neg is not None:
-        return neg
-    f, rho = config.f, config.rho
-    fc = _threshold_coupling(rho)
-    if f == fc:
-        return EigenState(ORDINARY_POSITIVE, 0.0, 0.0, 0.0)
-    # the lowest bracket of find_ordinary_positive, solved in scalar code
-    g = lambda t: _g_scalar(t, rho, f)
-    small = _small_positive_root(config) if f > fc else None
-    if small is not None:
-        root = small.k
-    elif decoupled(coupling(config, 1), f, 1):
-        root = math.pi
-    elif f > fc:
-        root = _bisect(g, 0.0, math.pi, 1.0, -1.0)
-    elif decoupled(coupling(config, 2), f, 2):
-        deflated = lambda d: float(_deflated_residual(d, 2, config)[0])
-        root = 2.0 * math.pi + _bisect(deflated, -math.pi, 0.0, 1.0, -1.0)
-    else:
-        root = _bisect(g, math.pi, 2.0 * math.pi, -1.0, 1.0)
-    res = abs(g(root))
-    if res > _RESIDUAL_TOL * max(1.0, abs(f) * root):
-        raise SolverFailure(f"root polish left residual {res:.3e} at kL={root}", (root, root))
-    return EigenState(ORDINARY_POSITIVE, root, root * root, res)
-
-
 def ground_states(rho, f) -> np.ndarray:
     """Ground-state energies of the generic configurations (rho[i], f[i]), solved together.
 
     ``rho`` and ``f`` broadcast together; the energies come back in their
-    shape.  Each point gets the bracket ``ground_state`` solves:
+    shape.  Each point gets the lowest bracket of ``full_spectrum``:
 
-    * 0 < f < fc (fc = 2 rho (1 - rho)) outside the series band below: the
-      bound root of f t - rhs_negative(t) on (1e-9, 4 max(1, 1/f)), lower
-      sign -1;
-    * 0 < fc - f <= 1e-10 and c4 > 0: the series root t = sqrt((fc - f) / c4);
+    * 0 < f < fc (fc = 2 rho (1 - rho)): the bound root of f t - rhs_negative(t)
+      on (1e-9, 4 max(1, 1/f)), lower sign -1;
     * f == fc: the marginal zero;
-    * f > fc: the scalar ``_small_positive_root`` where its series applies
-      (c4 > 0 and t_est < 0.5), otherwise g on (0, pi), lower sign +1;
-    * f < 0: g on (pi, 2 pi), lower sign -1;
+    * f > fc: g on (0, pi), lower sign +1, or on the narrowed bracket
+      (t/4, min(4 t, 0.9 pi)) of a ``_series_root`` t;
+    * f < 0: g on (pi, 2 pi), lower sign -1, also where 2 pi is decoupled
+      and ``full_spectrum`` takes the deflated form;
+    * within 1e-10 of fc: the ``_series_root`` itself;
     * level 1 ``decoupled`` and no root below it: the level pi itself.
 
     Every bracket is solved by one ``solve_brackets`` call, and every root
-    carries the residual certificate of the scalar path.
+    carries the residual certificate of its form.
     """
     rho, f = np.broadcast_arrays(np.asarray(rho, dtype=float), np.asarray(f, dtype=float))
     shape = rho.shape
@@ -532,50 +404,34 @@ def ground_states(rho, f) -> np.ndarray:
     if np.any((f == 0.0) | np.isnan(f)):
         raise ValueError("coupling f must be a nonzero real")
     fc = _threshold_coupling(rho)
-    c4 = _quartic_coeff(rho, f)
-    with np.errstate(divide="ignore", invalid="ignore"):  # NaN where (f - fc) / c4 < 0, and at f = inf
-        series = (c4 > 0.0) & (np.sqrt((f - fc) / c4) < 0.5)
-    near = (f > 0.0) & (f < fc) & (fc - f <= 1e-10) & (c4 > 0.0)
-    b = np.flatnonzero((f > 0.0) & (f < fc) & ~near)
+    t_est = _series_root(rho, f)
+    series = ~np.isnan(t_est)
+    closed = series & (np.abs(f - fc) <= 1e-10)
     at_pi = decoupled(np.sin(np.pi * rho), f, 1) & ((f > fc) & ~series | (f < 0.0))
+    b = np.flatnonzero((f > 0.0) & (f < fc) & ~series)
+    s = np.flatnonzero((f > fc) & series & ~closed)
     u = np.flatnonzero((f > fc) & ~series & ~at_pi)
     r = np.flatnonzero((f < 0.0) & ~at_pi)
-    small = np.flatnonzero((f > fc) & series)
 
-    points = np.concatenate((b, u, r))
-    rb, fb = rho[points], f[points]
-
-    def residual(x, idx):
-        # idx is ascending, so the bound brackets (numbered below b.size) lead
-        n = np.searchsorted(idx, b.size)
-        out, slope = np.empty(x.size), np.empty(x.size)
-        if n:
-            fk = fb[idx[:n]]
-            rhs, drhs = _rhs_negative_array(x[:n], rb[idx[:n]])
-            out[:n], slope[:n] = fk * x[:n] - rhs, fk - drhs
-        if n < x.size:
-            out[n:], slope[n:] = _residual_and_slope(x[n:], rb[idx[n:]], fb[idx[n:]])
-        return out, slope
-
-    lo = np.concatenate((np.full(b.size, 1e-9), np.zeros(u.size), np.full(r.size, math.pi)))
-    hi = np.concatenate((4.0 * np.maximum(1.0, 1.0 / f[b]), np.full(u.size, math.pi), np.full(r.size, 2.0 * math.pi)))
-    sign = np.concatenate((np.full(b.size, -1.0), np.ones(u.size), np.full(r.size, -1.0)))
-    bound = np.arange(b.size)
-    bad = np.flatnonzero((residual(lo[bound], bound)[0] >= 0.0) | (residual(hi[bound], bound)[0] <= 0.0))
-    if bad.size:
-        i = bad[0]
-        raise SolverFailure(f"negative-root bracket invalid for f={fb[i]}, rho={rb[i]}", (lo[i], hi[i]))
+    points = np.concatenate((b, s, u, r))
+    lo = np.concatenate((np.full(b.size, 1e-9), 0.25 * t_est[s], np.zeros(u.size), np.full(r.size, math.pi)))
+    hi = np.concatenate(
+        (4.0 * np.maximum(1.0, 1.0 / f[b]), np.minimum(4.0 * t_est[s], 0.9 * math.pi),
+         np.full(u.size, math.pi), np.full(r.size, 2.0 * math.pi))
+    )
+    sign = np.concatenate((np.full(b.size, -1.0), np.ones(s.size + u.size), np.full(r.size, -1.0)))
+    residual = _table_residual(rho[points], f[points], b.size, points.size - b.size)
     roots = solve_brackets(residual, lo, hi, sign)
 
     t = roots[: b.size]
-    res = np.abs(residual(t, bound)[0])
+    res = np.abs(residual(t, np.arange(b.size))[0])
     bad = np.flatnonzero(res > _RESIDUAL_TOL)
     if bad.size:
         i = bad[0]
         raise SolverFailure(f"negative root residual {res[i]:.3e}", (lo[i], hi[i]))
-    pos = np.concatenate((points[b.size :], small))
-    k_small = [_small_positive_root(DimensionlessConfig.generic(rho[i], float(f[i]))).k for i in small.tolist()]
-    k = np.concatenate((roots[b.size :], k_small))
+    c = np.flatnonzero(closed & (f > fc))
+    pos = np.concatenate((points[b.size :], c))
+    k = np.concatenate((roots[b.size :], t_est[c]))
     res = np.abs(_residual_and_slope(k, rho[pos], f[pos])[0])
     bad = np.flatnonzero(res > _RESIDUAL_TOL * np.maximum(1.0, np.abs(f[pos]) * k))
     if bad.size:
@@ -584,23 +440,96 @@ def ground_states(rho, f) -> np.ndarray:
 
     energy = np.zeros(rho.size)  # the marginal zero stays where f == fc
     energy[b] = -t * t
-    t_near = np.sqrt((fc[near] - f[near]) / c4[near])
-    energy[near] = -t_near * t_near
+    near = closed & (f < fc)
+    energy[near] = -t_est[near] * t_est[near]
     energy[pos] = k * k
     energy[at_pi] = math.pi * math.pi
     return energy.reshape(shape)
 
 
 def full_spectrum(config: DimensionlessConfig, k_max: float = DEFAULT_K_MAX) -> Spectrum:
-    """Merged, energy-sorted spectrum below the stated ceiling."""
-    entries: list[EigenState] = []
+    """Every level in (-inf, k_max^2], energy-sorted, from one table of brackets and one solve.
+
+    g is the secular function of a diagonal-plus-rank-one operator, and
+    g(m pi) = 2 (-1)^m sin^2(m pi rho), so its roots interlace the free-well
+    levels m pi.  The table holds one bracket per root:
+
+    * each interval (m pi, (m+1) pi), m >= 1, holds exactly one root of g,
+      with g of sign (-1)^m just above m pi;
+    * (0, pi) holds one only above the binding threshold fc = 2 rho (1 - rho),
+      narrowed to (t/4, min(4 t, 0.9 pi)) about a ``_series_root`` t, as g is
+      below its rounding error on most of (0, pi) near the threshold;
+    * below the threshold, 0 < f < fc, the bound root of f t - rhs_negative(t)
+      lies in (1e-9, 4 max(1, 1/f)), where the form has lower sign -1;
+    * a ``decoupled`` level is a root at m pi itself, reported here unless it
+      is a nodal state from ``enumerate_nodal``.  The intervals beside a run
+      of them merge into one bracket holding one companion, past the run's end
+      on the side of the sign of f, solved in the deflated form
+      ``_deflated_residual``; a run from level 1 gets one only if (0, pi)
+      holds a level.
+
+    Within 1e-10 of the threshold the root nearest zero energy is the series
+    root itself.  ``solve_brackets`` solves the whole table in one call, with
+    endpoint signs from this count rather than from g at a rounded multiple
+    of pi, and each root is certified in its own form.  The interval holding
+    k_max is solved whole and its root kept when it lies below k_max, which is
+    the rule sign g(k_max) != (-1)^M for the partial interval (M pi, k_max].
+    """
+    if not k_max >= 0.0:
+        raise ValueError(f"k_max must be non-negative, got {k_max}")
+    rho, f = config.rho, config.f
+    fc = _threshold_coupling(rho)
+    t_est = float(_series_root(rho, f)) if f > 0.0 else math.nan  # no series root for f < 0
+    series = not math.isnan(t_est)
+    closed = series and abs(f - fc) <= 1e-10  # the series root is then the root itself
+    bound = int(0.0 < f < fc and not series)  # brackets of the bound form: 0 or 1
+    above = f > fc
+    narrowed = above and series and not closed
+    top = int(k_max // math.pi)  # index of the interval holding k_max
+    levels = np.arange(1, top + 2)
+    dec = decoupled(coupling(config, levels), f, levels)
+    coupled = np.concatenate(([True], ~dec))  # by level, from the origin
+    m = np.arange(0 if above and not series else 1, top + 1)
+    m = m[coupled[m] & coupled[m + 1]]  # intervals beside no decoupled level
+    # a run's last level for f > 0, its first for f < 0
+    edge = dec & ~(np.concatenate((dec[1:], [False])) if f > 0.0 else np.concatenate(([False], dec[:-1])))
+    centers = levels[edge].astype(float)
+    if dec[0] and not above:
+        centers = centers[1:]  # the run from level 1 has no companion
+
+    side = (0.0, math.pi) if f > 0.0 else (-math.pi, 0.0)
+    lo = np.concatenate(([1e-9] * bound, [0.25 * t_est] * narrowed, m * math.pi, np.full(centers.size, side[0])))
+    hi = np.concatenate(
+        ([4.0 * max(1.0, 1.0 / f)] * bound, [min(4.0 * t_est, 0.9 * math.pi)] * narrowed,
+         (m + 1) * math.pi, np.full(centers.size, side[1]))
+    )
+    sign = np.concatenate(([-1.0] * bound, [1.0] * narrowed, 1.0 - 2.0 * (m % 2), np.ones(centers.size)))
+    end = lo.size - centers.size
+    table = _table_residual(rho, f, bound, end - bound, centers, config)
+    roots = solve_brackets(table, lo, hi, sign)
+
+    pos = roots[bound:end]
+    if above and closed:
+        pos = np.concatenate(([t_est], pos))
+    shown = levels[dec]
     if config.is_exact:
+        shown = shown[shown % config.rational.n != 0]  # the rest are enumerate_nodal's
+    if centers.size or shown.size:
+        pos = np.sort(np.concatenate((pos, centers * math.pi + roots[end:], shown * math.pi)))
+    pos = pos[pos <= k_max]
+    res = _certify(pos, config)
+    # tuple.__new__ builds the entries without the named tuple's Python-level __new__
+    rows = zip(repeat(ORDINARY_POSITIVE), pos.tolist(), (pos * pos).tolist(), res.tolist(), repeat(None), repeat(None))
+    entries = list(map(tuple.__new__, repeat(EigenState), rows))
+    if 0.0 < f < fc:
+        t = float(roots[0]) if bound else t_est
+        res = abs(negative_residual(t, config))
+        if res > _RESIDUAL_TOL:
+            raise SolverFailure(f"negative root residual {res:.3e}", (t, t))
+        entries.insert(0, EigenState(ORDINARY_NEGATIVE, t, -t * t, res))
+    if config.is_exact:  # the nodal levels interleave with the rest; otherwise the entries are in order
         entries.extend(enumerate_nodal(config.rational, k_max))
-    entries.extend(find_ordinary_positive(config, k_max))
-    neg = find_negative_root(config)
-    if neg is not None:
-        entries.append(neg)
-    entries.sort(key=attrgetter("energy"))
+        entries.sort(key=attrgetter("energy"))
     return Spectrum(config, entries, k_max)
 
 

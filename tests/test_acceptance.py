@@ -189,7 +189,7 @@ def test_criterion_6_limit_laws(capsys):
     rho = 0.321
     for f in (1e4, -1e4):
         cfg = ws.DimensionlessConfig.generic(rho, f)
-        roots = [s.k for s in ws.find_ordinary_positive(cfg, 4.0 * math.pi)]
+        roots = [s.k for s in ws.full_spectrum(cfg, 4.0 * math.pi).entries if s.kind == ws.ORDINARY_POSITIVE]
         for n in (1, 2, 3):
             root = min(roots, key=lambda k: abs(k - n * math.pi))
             actual = root - n * math.pi
@@ -199,11 +199,11 @@ def test_criterion_6_limit_laws(capsys):
 
     # (b) strong coupling: kappa*f -> 1 and the split-well ladders
     cfg = ws.DimensionlessConfig.generic(1.0 / math.sqrt(2.0), 1e-3)
-    neg = ws.find_negative_root(cfg)
+    neg = next(iter(ws.full_spectrum(cfg, 0.0).entries), None)
     _check(failures, neg is not None and abs(neg.k * 1e-3 - 1.0) < 2e-3,
            "strong: |kappaL*f - 1| >= 2e-3")
     est = ws.strong_coupling_estimates(cfg, 20)
-    roots = [s.k for s in ws.find_ordinary_positive(cfg, 3.0 * math.pi)]
+    roots = [s.k for s in ws.full_spectrum(cfg, 3.0 * math.pi).entries if s.kind == ws.ORDINARY_POSITIVE]
     _check(failures, len(roots) >= 2, "strong: expected at least two roots below 3 pi")
     for r in roots:
         dev = min(abs(r - e) for e in est) / math.pi
@@ -214,7 +214,7 @@ def test_criterion_6_limit_laws(capsys):
         for f_g in np.linspace(-0.1, 0.6, 21):
             if f_g == 0.0:
                 continue
-            got = ws.find_negative_root(ws.DimensionlessConfig.generic(float(rho_g), float(f_g))) is not None
+            got = bool(ws.full_spectrum(ws.DimensionlessConfig.generic(float(rho_g), float(f_g)), 0.0).entries)
             expect = 0.0 < f_g < 2.0 * rho_g * (1.0 - rho_g)
             _check(failures, got == expect,
                    f"existence mismatch at rho={rho_g:.3f} f={f_g:.3f}: got {got}")

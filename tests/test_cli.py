@@ -94,6 +94,29 @@ class TestExitCodes:
             main(["spectrum", "--f", "0.1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("rho", ["1/0", "3/2", "0/3", "0", "1", "nan", "-0.2", "1.5"])
+    def test_dispersion_curve_position_outside_the_well_is_usage_error(self, rho, capsys):
+        assert main(["dispersion-curve", "--rho", rho]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_dispersion_curve_unreduced_fraction_is_valid(self, capsys):
+        assert main(["dispersion-curve", "--rho", "2/4", "--kmax", "1"]) == 0
+        half = capsys.readouterr().out
+        assert main(["dispersion-curve", "--rho", "1/2", "--kmax", "1"]) == 0
+        assert capsys.readouterr().out == half
+
+    @pytest.mark.parametrize("command", ["spectrum", "check"])
+    def test_negative_kmax_is_usage_error(self, command, capsys):
+        assert main([command, "--rho-real", "0.3", "--f", "0.1", "--kmax", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "k_max must be non-negative" in captured.err
+
+    @pytest.mark.parametrize("command, count", [("spectrum", "-2"), ("spectrum", "0"), ("check", "0"), ("check", "-1")])
+    def test_count_below_one_is_usage_error(self, command, count, capsys):
+        assert main([command, "--rho-real", "0.3", "--f", "0.1", "--count", count]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--count must be at least 1" in captured.err
+
     def test_solver_failure_exit_3(self, tmp_path, monkeypatch, capsys):
         def boom(*a, **k):
             raise SolverFailure("no convergence", (1.0, 2.0))
@@ -207,6 +230,11 @@ class TestSpectrumCommand:
         first = _read_rows(out)[1]
         assert first[0] == "ordinary_negative"
         assert float(first[2]) * 0.01 == pytest.approx(-1.0, abs=2e-4)
+
+    def test_zero_kmax_gives_the_bound_state_alone(self, capsys):
+        assert main(["spectrum", "--rho-real", "0.3", "--f", "0.1", "--kmax", "0"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 1 and rows[0].startswith("ordinary_negative,")
 
     def test_generic_position_has_no_nodal_rows(self, tmp_path):
         out = tmp_path / "s.csv"

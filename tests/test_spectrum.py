@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import wellspec as ws
+import wellspec.cli
 import wellspec.spectrum
 
 
@@ -24,6 +25,16 @@ def _exact(p, n, f):
 
 def _gen(rho, f):
     return ws.DimensionlessConfig.generic(rho, f)
+
+
+def _ordinary(cfg, k_max):
+    """The ordinary positive-energy levels of the spectrum below k_max."""
+    return [s for s in ws.full_spectrum(cfg, k_max).entries if s.kind == ws.ORDINARY_POSITIVE]
+
+
+def _bound(cfg):
+    """The bound state, or None: the whole spectrum below zero energy."""
+    return next(iter(ws.full_spectrum(cfg, 0.0).entries), None)
 
 
 EPS = np.finfo(float).eps
@@ -215,17 +226,17 @@ class TestEnumerateNodal:
         assert ws.enumerate_nodal(ws.reduce_position(83, 200), 100.0 * math.pi) == []
 
 
-class TestFindOrdinaryPositive:
+class TestOrdinaryPositive:
     def test_center_repulsion_lowest_root(self):
         # lowest root of tan(kL/2) = f kL for f = -0.1 lies in (pi, 2 pi);
         # independent bisection gives kL = 5.307324799118129
-        states = ws.find_ordinary_positive(_exact(1, 2, -0.1), 4.0 * math.pi)
+        states = _ordinary(_exact(1, 2, -0.1), 4.0 * math.pi)
         assert math.pi < states[0].k < 2.0 * math.pi
         assert states[0].k == pytest.approx(5.307324799118129, abs=1e-11)
 
     def test_center_weak_coupling_structure(self):
         # |f| = 100: roots sit near odd N pi (even N are the nodal family)
-        states = ws.find_ordinary_positive(_exact(1, 2, 100.0), 6.0 * math.pi)
+        states = _ordinary(_exact(1, 2, 100.0), 6.0 * math.pi)
         ns = sorted(round(s.k / math.pi) for s in states)
         assert ns == [1, 3, 5]
         for s in states:
@@ -235,37 +246,37 @@ class TestFindOrdinaryPositive:
 
     def test_strong_attraction_split_well(self):
         cfg = _exact(2, 5, 1e-3)
-        states = ws.find_ordinary_positive(cfg, 4.0 * math.pi)
+        states = _ordinary(cfg, 4.0 * math.pi)
         est = ws.strong_coupling_estimates(cfg, 10)
         for s in states:
             assert min(abs(s.k - e) for e in est) < 0.05
 
     def test_residual_certificate(self):
         for cfg in (_gen(0.31, 0.9), _gen(0.77, -3.0), _exact(2, 5, 0.05)):
-            for s in ws.find_ordinary_positive(cfg, 10.0 * math.pi):
+            for s in _ordinary(cfg, 10.0 * math.pi):
                 scale = max(1.0, abs(cfg.f) * s.k)
                 assert abs(float(ws.dispersion_residual(s.k, cfg))) <= 1e-10 * scale
                 assert s.energy == s.k * s.k
 
 
-class TestFindNegativeRoot:
+class TestBoundState:
     def test_center_marginal_boundary(self):
-        assert ws.find_negative_root(_exact(1, 2, 0.5)) is None
+        assert _bound(_exact(1, 2, 0.5)) is None
 
     def test_center_strong_attraction(self):
         # independent bisection on tanh(t/2) = 0.1 t: t = 9.999091217152323
-        s = ws.find_negative_root(_exact(1, 2, 0.1))
+        s = _bound(_exact(1, 2, 0.1))
         assert s.kind == ws.ORDINARY_NEGATIVE
         assert s.k == pytest.approx(9.999091217152323, abs=1e-11)
         assert s.energy * 0.1**2 == pytest.approx(-0.9998182516893271, abs=1e-11)
 
     def test_repulsion_never_binds(self):
-        assert ws.find_negative_root(_exact(1, 2, -0.3)) is None
+        assert _bound(_exact(1, 2, -0.3)) is None
 
     def test_existence_region(self):
         for rho in np.linspace(0.08, 0.92, 8):
             for f in np.linspace(0.03, 0.55, 8):
-                got = ws.find_negative_root(_gen(float(rho), float(f))) is not None
+                got = _bound(_gen(float(rho), float(f))) is not None
                 assert got == (f < 2.0 * rho * (1.0 - rho))
 
     def test_near_threshold_root_is_accurate(self):
@@ -274,7 +285,7 @@ class TestFindNegativeRoot:
         # a 50-digit mpmath root of the same equation at the same float inputs;
         # the conditioning, eps fc / (fc - f), allows ~5e-11 relative.
         cfg = _gen(0.135, 2.0 * 0.135 * (1.0 - 0.135) - 1e-6)
-        assert ws.find_negative_root(cfg).k == pytest.approx(0.010488121695145623539, rel=1e-9)
+        assert _bound(cfg).k == pytest.approx(0.010488121695145623539, rel=1e-9)
 
     def test_near_wall_near_threshold_root(self):
         # 1e-13 below the threshold next to a wall the quartic coefficient c4 is
@@ -292,7 +303,7 @@ class TestFindNegativeRoot:
         assert math.sqrt(-energy) == pytest.approx(want, rel=1e-6)
 
     def test_scaled_residual_certificate(self):
-        s = ws.find_negative_root(_gen(0.33, 0.2))
+        s = _bound(_gen(0.33, 0.2))
         cfg = _gen(0.33, 0.2)
         assert abs(ws.negative_residual(s.k, cfg)) <= 1e-10
         # the unscaled sinh form vanishes too where it is finite
@@ -303,17 +314,16 @@ class TestFindNegativeRoot:
 
 class TestGroundState:
     def test_deep_binding(self):
-        g = ws.ground_state(_exact(1, 2, 0.1))
-        assert g.energy * 0.01 == pytest.approx(-0.9998182516893271, abs=1e-11)
+        assert ws.ground_states(0.5, 0.1) * 0.01 == pytest.approx(-0.9998182516893271, abs=1e-11)
 
     def test_marginal_zero(self):
-        g = ws.ground_state(_exact(1, 2, 0.5))
-        assert g.energy == 0.0
-        assert g.k == 0.0
+        assert ws.ground_states(0.5, 0.5) == 0.0
 
     def test_repulsion_positive(self):
-        g = ws.ground_state(_exact(1, 2, -0.1))
+        g = ws.full_spectrum(_exact(1, 2, -0.1), 4.0 * math.pi).entries[0]
+        assert g.kind == ws.ORDINARY_POSITIVE
         assert g.energy * 0.01 == pytest.approx(0.28167696523334296, rel=1e-10)
+        assert ws.ground_states(0.5, -0.1) == pytest.approx(g.energy, rel=1e-14)
 
     @pytest.mark.parametrize(
         "cfg",
@@ -328,13 +338,12 @@ class TestGroundState:
         ids=repr,
     )
     def test_matches_lowest_spectrum_entry(self, cfg):
-        # the scalar ground-state path solves the lowest bracket of full_spectrum
-        g = ws.ground_state(cfg)
+        # the batched sweep solves the lowest bracket of full_spectrum's table
         e0 = ws.full_spectrum(cfg, 4.0 * math.pi).entries[0]
-        assert g.kind == e0.kind
-        assert g.energy == pytest.approx(e0.energy, rel=1e-12)
+        assert e0.kind == (ws.ORDINARY_NEGATIVE if 0.0 < cfg.f < 2.0 * cfg.rho * (1.0 - cfg.rho) else ws.ORDINARY_POSITIVE)
+        assert ws.ground_states(cfg.rho, cfg.f) == pytest.approx(e0.energy, rel=1e-12)
 
-    def test_batched_matches_scalar(self):
+    def test_batched_matches_full_spectrum(self):
         rho = np.linspace(0.005, 0.995, 199)
         fc = 2.0 * rho * (1.0 - rho)
         # |f| = 1e-3 binds at kappa L ~ 1e3, past the exp branch of rhs_negative at 350
@@ -343,11 +352,61 @@ class TestGroundState:
         fs += [np.full(rho.size, math.inf), np.full(rho.size, -math.inf)]
         rhos, f = np.tile(rho, len(fs)), np.concatenate(fs)
         batched = ws.ground_states(rhos, f)
-        scalar = np.array([ws.ground_state(_gen(r, x)).energy for r, x in zip(rhos.tolist(), f.tolist())])
+        lowest = np.array([ws.full_spectrum(_gen(r, x), 4.0 * math.pi).entries[0].energy
+                           for r, x in zip(rhos.tolist(), f.tolist())])
         fin = np.isfinite(f)
-        got, want = batched[fin] * f[fin] ** 2, scalar[fin] * f[fin] ** 2
+        got, want = batched[fin] * f[fin] ** 2, lowest[fin] * f[fin] ** 2
         assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
-        assert np.array_equal(batched[~fin], scalar[~fin])
+        assert np.array_equal(batched[~fin], lowest[~fin])
+
+    # Ground-state energies at hard points, as 50-digit mpmath roots of g (or
+    # of the bound form f t - rhs_negative(t)) at the same float inputs.  The
+    # points lie 1e-6, 1e-8 and 5e-11 either side of the threshold fc, where
+    # the root is ill-conditioned (within 5e-11 the series root is used), at
+    # |f| = 1e-3, at the float 0.5 with 2 pi decoupled, and next to a wall.
+    HARD = [
+        (0.13, -1e-6, "-0.0001172654872265405845130801"),
+        (0.13, 1e-6, "0.00011726323904233016843907"),
+        (0.13, -1e-8, "-0.000001172643742391075512971229"),
+        (0.13, 1e-8, "0.000001172643518884834615188117"),
+        (0.13, -5e-11, "-5.863217988055384962501204e-9"),
+        (0.13, 5e-11, "5.863219294746046998234643e-9"),
+        (0.3, -1e-6, "-0.00003401371496409435150254027"),
+        (0.3, 1e-6, "0.00003401349591910729568206611"),
+        (0.3, -1e-8, "-0.000000340136065421539280781234"),
+        (0.3, 1e-8, "0.0000003401360430639336575573844"),
+        (0.3, -5e-11, "-1.700680639673693534684815e-9"),
+        (0.3, 5e-11, "1.700680185973827160238837e-9"),
+        (0.5, -1e-6, "-0.00002400005759949445984267659"),
+        (0.5, 1e-6, "0.00002399994240082672660109762"),
+        (0.5, -1e-8, "-0.0000002400000056336747270595413"),
+        (0.5, 1e-8, "0.0000002399999954459423047881173"),
+        (0.5, -5e-11, "-1.20000009943244522275475e-9"),
+        (0.5, 5e-11, "1.200000099144445175096295e-9"),
+    ]
+    HARD_F = [
+        (0.3, 1e-3, "-999999.9999999999583666366"),
+        (0.3, -1e-3, "20.11332104271684934337845"),
+        (0.5, -0.3, "19.63743540351883637350966"),
+        (0.5, -1e-3, "39.3209784721483618755884"),
+        (1e-10, 0.05, "9.869604401089358610938807"),
+        (1e-10, -0.05, "9.869604401089358626730174"),
+        (1e-10, 3.0, "9.869604401089358618702896"),
+    ]
+
+    def test_hard_points_match_high_precision_roots(self):
+        rho = np.array([p[0] for p in self.HARD + self.HARD_F])
+        fc = 2.0 * rho * (1.0 - rho)
+        f = np.array([2.0 * r * (1.0 - r) + df for r, df, _ in self.HARD] + [x for _, x, _ in self.HARD_F])
+        want = np.array([float(e) for _, _, e in self.HARD + self.HARD_F])
+        # the rounding of g and of f moves the root by ~eps |f| / |f - fc| relative,
+        # and the series root's truncation stays within that next to the threshold
+        tol = 6.0 * EPS * np.maximum(1.0, np.abs(f) / np.abs(f - fc)) * np.abs(want)
+        batched = ws.ground_states(rho, f)
+        lowest = np.array([ws.full_spectrum(_gen(r, x), 4.0 * math.pi).entries[0].energy
+                           for r, x in zip(rho.tolist(), f.tolist())])
+        assert np.all(np.abs(batched - want) <= tol)
+        assert np.all(np.abs(lowest - want) <= tol)
 
     @pytest.mark.parametrize(
         "rho, f, error",
@@ -359,7 +418,7 @@ class TestGroundState:
             ws.ground_states([0.5, rho], [0.3, f])
 
     def test_continuity_across_crossing(self):
-        es = [ws.ground_state(_exact(1, 2, f)).energy for f in (0.49, 0.5, 0.51)]
+        es = ws.ground_states(0.5, [0.49, 0.5, 0.51])
         assert es[0] < 0.0 < es[2]
         assert abs(es[1]) < 1e-12
         assert max(abs(e) for e in es) < 0.6
@@ -573,6 +632,45 @@ class TestFullSpectrum:
             assert abs(float(ws.dispersion_residual(s.k, cfg))) <= 1e-10 * max(1.0, abs(f) * s.k)
 
 
+    @pytest.mark.parametrize("k_max", [-1.0, -1e-300, math.nan])
+    def test_negative_ceiling_rejected(self, k_max):
+        with pytest.raises(ValueError, match="k_max must be non-negative"):
+            ws.full_spectrum(_gen(0.3, 0.1), k_max)
+
+    @pytest.mark.parametrize("cfg", [_gen(0.3, 0.1), _exact(1, 2, 0.1), _gen(0.3, 0.5), _gen(0.3, -0.1)], ids=repr)
+    def test_zero_ceiling_gives_the_bound_state_alone(self, cfg):
+        entries = ws.full_spectrum(cfg, 0.0).entries
+        assert [s.kind for s in entries] == [ws.ORDINARY_NEGATIVE] * (0.0 < cfg.f < 2.0 * cfg.rho * (1.0 - cfg.rho))
+        assert entries == ws.full_spectrum(cfg, 4.0 * math.pi).entries[: len(entries)]
+
+
+class TestOneSolve:
+    @pytest.mark.parametrize("cfg", [_exact(2, 5, 0.1), _gen(0.4, 0.1)], ids=repr)
+    def test_full_spectrum_solves_its_table_once(self, cfg):
+        # a bound state, interlacing levels and the companion of the decoupled
+        # level 5 pi (nodal at 2/5, decoupled at the float 0.4): three forms
+        with _recorded_solves() as calls:
+            spec = ws.full_spectrum(cfg, 20.0 * math.pi)
+        assert len(calls) == 1
+        _, lo, hi, _, _, _ = calls[0]
+        assert (lo[0], hi[0]) == (1e-9, 40.0)  # the bound form leads
+        assert (lo[-1], hi[-1]) == (0.0, math.pi)  # the deflated form, in d = k - 5 pi, ends the table
+        assert spec.entries[0].kind == ws.ORDINARY_NEGATIVE
+
+    def test_sweep_solves_every_point_in_one_call(self, capsys):
+        built = []
+        init = ws.DimensionlessConfig.__post_init__
+        with _recorded_solves() as calls, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ws.DimensionlessConfig, "__post_init__", lambda self: built.append(self) or init(self))
+            assert wellspec.cli.main(["sweep-ground", "--f-list", "0.4", "--signs", "attract"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 199
+        assert len(calls) == 1
+        assert built == []
+        # the points just above the threshold take the narrowed bracket (t/4, min(4 t, 0.9 pi))
+        _, lo, hi, _, _, _ = calls[0]
+        assert np.count_nonzero((lo > 1e-9) & (hi < 0.9 * math.pi)) == 4
+
+
 class TestAsymptoticEstimators:
     def test_weak_formula(self):
         cfg = _exact(1, 2, 100.0)
@@ -588,7 +686,7 @@ class TestAsymptoticEstimators:
         for f in (1e2, 1e3, 1e4):
             cfg = _gen(rho, f)
             root = min(
-                (s.k for s in ws.find_ordinary_positive(cfg, 2.0 * math.pi)),
+                (s.k for s in _ordinary(cfg, 2.0 * math.pi)),
                 key=lambda k: abs(k - math.pi),
             )
             err = abs(root - ws.weak_coupling_estimate(1, cfg))
@@ -617,14 +715,14 @@ class TestAsymptoticEstimators:
         est = ws.strong_coupling_estimates(cfg3, 20)
         devs = []
         for f in (1e-1, 1e-2, 1e-3):
-            roots = [s.k for s in ws.find_ordinary_positive(_gen(0.3, f), 6.0 * math.pi)]
+            roots = [s.k for s in _ordinary(_gen(0.3, f), 6.0 * math.pi)]
             devs.append(max(min(abs(r - e) for e in est) for r in roots))
         assert devs[0] > devs[1] > devs[2]
         assert devs[2] < 0.05
 
     def test_bound_state_strong_limit(self):
         for f in (1e-1, 1e-2, 1e-3):
-            s = ws.find_negative_root(_gen(0.37, f))
+            s = _bound(_gen(0.37, f))
             assert abs(s.k * f - 1.0) < 3.0 * f / 0.37
 
     def test_zero_energy_positions(self):

@@ -56,7 +56,7 @@ class TestBuildWave:
         # kappa -> 1/f: psi ~ exp(-|x - 1/2|/f)/sqrt(f) away from the walls
         f = 0.01
         cfg = _exact(1, 2, f)
-        w = ws.build_wave(ws.find_negative_root(cfg), cfg)
+        w = ws.build_wave(ws.full_spectrum(cfg, 0.0).entries[0], cfg)
         assert w.kind == EVANESCENT
         for d in (0.02, 0.05, 0.1):
             expect = math.exp(-d / f) / math.sqrt(f)
@@ -97,7 +97,7 @@ class TestBuildWave:
 
     def test_marginal_state_rejected(self):
         cfg = _exact(1, 2, 0.5)
-        g = ws.ground_state(cfg)
+        g = ws.EigenState(ws.ORDINARY_POSITIVE, 0.0, 0.0, 0.0)  # the ground state at f = 2 rho (1 - rho)
         with pytest.raises(ws.InconsistentState):
             ws.build_wave(g, cfg)
 
@@ -143,7 +143,7 @@ class TestEvaluate:
         strong = _gen(0.3, 9.9e-5)
         cases = [
             (nodal_cfg, ws.enumerate_nodal(nodal_cfg.rational, 6.0 * math.pi)[0]),
-            (strong, ws.find_negative_root(strong)),
+            (strong, ws.full_spectrum(strong, 0.0).entries[0]),
         ]
         for cfg in (_gen(0.37, 0.7), _gen(0.3, 0.1), _exact(1, 2, -0.2)):
             cases += [(cfg, s) for s in _first_states(cfg, 8)]
@@ -167,7 +167,7 @@ class TestEvaluate:
     def test_extreme_decay_stays_finite(self):
         f = 1e-4
         cfg = _gen(0.3, f)
-        s = ws.find_negative_root(cfg)
+        s = ws.full_spectrum(cfg, 0.0).entries[0]
         assert s.k > 9.9e3
         w = ws.build_wave(s, cfg)
         vals = [ws.evaluate(w, x) for x in (0.1, 0.2999, 0.3, 0.3001, 0.9)]
@@ -272,7 +272,7 @@ class TestSymmetryAndLimits:
     def test_strong_limit_even_about_center(self):
         cfg = _exact(1, 2, 1e-3)
         comp = min(
-            (s for s in ws.find_ordinary_positive(cfg, 3.0 * math.pi)),
+            (s for s in ws.full_spectrum(cfg, 3.0 * math.pi).entries if s.kind == ws.ORDINARY_POSITIVE),
             key=lambda s: abs(s.k - 2.0 * math.pi),
         )
         w = ws.build_wave(comp, cfg)
