@@ -122,13 +122,14 @@ def lowest_eigenvalues(matrix: SineBasisMatrix, count: int) -> list[float]:
     tail = _tail(matrix)
 
     def secular(lam):
-        # w = 1 + sigma (sum u^2 / (d - lam) + T) and w' = sigma (sum u^2 / (d - lam)^2 + T')
-        gap = d - lam[:, None]
-        terms = u2 / gap
+        # w = 1 + sigma (sum u^2 / (d - lam) + T) and w' = sigma (sum u^2 / (d - lam)^2 + T'),
+        # from one (n, M) array of 1 / (d - lam), squared in place for w'
+        inv = d - lam[:, None]
+        np.reciprocal(inv, out=inv)
+        s1 = inv @ u2
+        inv *= inv
         t, dt = tail(lam)
-        w = 1.0 + sigma * (terms.sum(axis=1) + t)
-        terms /= gap
-        return w, sigma * (terms.sum(axis=1) + dt)
+        return 1.0 + sigma * (s1 + t), sigma * (inv @ u2 + dt)
 
     reach = sigma * float(np.sum(u2))  # Weyl bound on the outermost root's shift
     if sigma < 0.0:

@@ -83,58 +83,34 @@ def rhs_positive(kL, rho: float, pole_eps: float = 1e-9):
     return out if out.ndim else float(out)
 
 
-def rhs_negative(kappaL: float, rho: float) -> float:
-    """2 sinh(kL rho) sinh(kL (1-rho)) / sinh(kL) = (cosh t - cosh(t mu)) / sinh t.
+def _rhs_negative_and_slope(kappaL, rho) -> tuple[np.ndarray, np.ndarray]:
+    """``rhs_negative`` and its slope in kappaL, for t > 0, over arrays of t and rho that broadcast together.
 
-    Monotone increasing from 0 to 1; evaluated overflow-free for any t.
-    ``_rhs_negative_array`` takes the same three branches over arrays.
+    Factoring e^t out of each sinh gives R = a b / c, with a = 1 - e^(-2 t rho),
+    b = 1 - e^(-2 t (1 - rho)) and c = 1 - e^(-2 t), each taken by expm1: no
+    term cancels, next to a wall or at small t, and none overflows at any t
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, sec. 1.14).
+    The slope is taken from the exponentials themselves, which keeps it
+    accurate where it is subnormal.
+    """
+    t, rho = np.asarray(kappaL, dtype=float), np.asarray(rho, dtype=float)
+    x, y = 2.0 * t * rho, 2.0 * t * (1.0 - rho)
+    a, b, c = -np.expm1(-x), -np.expm1(-y), -np.expm1(-2.0 * t)
+    value = a * b / c
+    slope = (2.0 * rho * np.exp(-x) * b + 2.0 * (1.0 - rho) * np.exp(-y) * a - 2.0 * np.exp(-2.0 * t) * value) / c
+    return value, slope
+
+
+def rhs_negative(kappaL: float, rho: float) -> float:
+    """2 sinh(kL rho) sinh(kL (1-rho)) / sinh(kL), monotone increasing from 0 to 1; 0 for kL <= 0.
+
+    One expm1 formula, accurate to a few ulp for any kL and rho (see
+    ``_rhs_negative_and_slope``).
     """
     t = float(kappaL)
     if t <= 0.0:
         return 0.0
-    # the product form has no cancellation, so it is accurate to a few ulp
-    # while the value is well below 1
-    if t < 2.0:
-        return 2.0 * math.sinh(t * rho) * math.sinh(t * (1.0 - rho)) / math.sinh(t)
-    # 1 - (cosh(t mu) - e^-t) / sinh t: the deficit from 1 is computed on its
-    # own, so the value stays monotone in floats where it saturates at 1
-    if t < 350.0:
-        return 1.0 - (math.cosh(t * abs(2.0 * rho - 1.0)) - math.exp(-t)) / math.sinh(t)
-    # exp form: factor e^t out of numerator and denominator; the exponents
-    # 1 -+ mu are taken as 2 min(rho, 1 - rho) and 2 max(rho, 1 - rho), which
-    # keeps the near one exact next to a wall
-    near, far = 2.0 * min(rho, 1.0 - rho), 2.0 * max(rho, 1.0 - rho)
-    return 1.0 - (math.exp(-t * near) + math.exp(-t * far) - 2.0 * math.exp(-2.0 * t)) / (1.0 - math.exp(-2.0 * t))
-
-
-def _rhs_negative_array(kappaL, rho) -> tuple[np.ndarray, np.ndarray]:
-    """``rhs_negative`` and its slope in kappaL, over arrays of t and rho that broadcast together."""
-    t, rho = np.asarray(kappaL, dtype=float), np.asarray(rho, dtype=float)
-    if t.shape != rho.shape:
-        t, rho = np.broadcast_arrays(t, rho)
-    out, slope = np.zeros(t.shape), np.zeros(t.shape)
-    low = (t > 0.0) & (t < 2.0)
-    high = ~(t < 350.0)
-    mid = (t >= 2.0) & ~high
-    tl, rl = t[low], rho[low]
-    a, b, s = np.sinh(tl * rl), np.sinh(tl * (1.0 - rl)), np.sinh(tl)
-    out[low] = value = 2.0 * a * b / s
-    ca, cb = np.cosh(tl * rl), np.cosh(tl * (1.0 - rl))
-    slope[low] = (2.0 * (rl * ca * b + (1.0 - rl) * a * cb) - value * np.cosh(tl)) / s
-    tm = t[mid]
-    m = np.abs(2.0 * rho[mid] - 1.0)
-    e, s = np.exp(-tm), np.sinh(tm)
-    deficit = (np.cosh(tm * m) - e) / s
-    out[mid] = 1.0 - deficit
-    slope[mid] = (deficit * (s + e) - m * np.sinh(tm * m) - e) / s  # cosh t = sinh t + e^-t
-    if high.any():
-        th, rh = t[high], rho[high]
-        near, far = 2.0 * np.minimum(rh, 1.0 - rh), 2.0 * np.maximum(rh, 1.0 - rh)  # 1 -+ mu, as in rhs_negative
-        e1, e2, e3 = np.exp(-th * near), np.exp(-th * far), np.exp(-2.0 * th)
-        deficit = (e1 + e2 - 2.0 * e3) / (1.0 - e3)
-        out[high] = 1.0 - deficit
-        slope[high] = (near * e1 + far * e2 - 4.0 * e3 + 2.0 * deficit * e3) / (1.0 - e3)
-    return out, slope
+    return float(_rhs_negative_and_slope(t, rho)[0])
 
 
 def negative_residual(kappaL: float, config: DimensionlessConfig) -> float:
@@ -326,7 +302,7 @@ def _table_residual(rho, f, bound: int, interlacing: int, centers=None, config: 
         out, slope = np.empty(x.size), np.empty(x.size)
         if n:
             j = idx[:n]
-            rhs, drhs = _rhs_negative_array(x[:n], np.full(n, pick(rho, j)))  # rho in the shape of t: no broadcast
+            rhs, drhs = _rhs_negative_and_slope(x[:n], pick(rho, j))
             out[:n], slope[:n] = pick(f, j) * x[:n] - rhs, pick(f, j) - drhs
         if m > n:
             out[n:m], slope[n:m] = g(x[n:m], idx[n:m])

@@ -170,31 +170,30 @@ class TestRhsNegative:
             assert hi > lo
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        st.floats(1e-6, 1.0 - 1e-6),
-        st.one_of(st.floats(1e-6, 1e4), st.sampled_from([0.01, 2.0, 350.0])),
-    )
-    def test_array_form_matches_scalar_and_is_monotone(self, rho, t):
-        ts = t * (1.0 + np.linspace(-1e-3, 1e-3, 41))  # straddles a branch seam when drawn at one
-        arr, _ = wellspec.spectrum._rhs_negative_array(ts, rho)
-        scalar = np.array([ws.rhs_negative(float(x), rho) for x in ts])
-        # numpy's exp, cosh and sinh may each round one ulp away from libm's, and
-        # the three roundings after them may then differ by half an ulp each.
-        # From t = 2 both forms subtract the deficit (cosh(t mu) - e^-t)/sinh t
-        # from 1, so there the ulp is of its largest term (sinh capped below
-        # overflow). The worst gap seen over 1.8M random points was 4.0 eps times the scale.
-        m = abs(2.0 * rho - 1.0)
-        tc = np.minimum(ts, 349.0)
-        scale = np.where(ts < 2.0, scalar, np.maximum(scalar, (np.cosh(tc * m) + np.exp(-tc)) / np.sinh(tc)))
-        assert np.all(np.abs(arr - scalar) <= 6.0 * np.finfo(float).eps * scale)
-        assert np.all(np.diff(arr) >= 0.0)
+    @given(st.floats(-6.0, 4.0), st.floats(-12.0, math.log10(0.5)), st.booleans())
+    @example(4.0, -12.0, True)
+    @example(math.log10(20.9), math.log10(1.06e-12), False)  # 2e11 eps off in the cosh-deficit form
+    def test_matches_high_precision_and_is_monotone(self, log_t, log_d, far_wall):
+        # t log-uniform in [1e-6, 1e4]; rho at distance d from one wall, d down to 1e-12
+        t, d = 10.0**log_t, 10.0**log_d
+        rho = 1.0 - d if far_wall else d
+        ts = t * (1.0 + np.linspace(-1e-3, 1e-3, 41))
+        value, _ = wellspec.spectrum._rhs_negative_and_slope(ts, rho)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            x, r = Decimal(t), Decimal(rho)
+            sh = lambda y: (y.exp() - (-y).exp()) / 2
+            want = float(2 * sh(x * r) * sh(x * (1 - r)) / sh(x))
+        assert abs(value[20] - want) <= 4.0 * EPS * want
+        assert ws.rhs_negative(t, rho) == value[20]
+        assert np.all(np.diff(value) >= 0.0)
 
-    @pytest.mark.parametrize("rho", [0.5, 0.21, 0.37, 1e-3, 0.999])
+    @pytest.mark.parametrize("rho", [0.5, 0.21, 0.37, 1e-3, 0.999, 1e-9, 1.0 - 1e-9])
     def test_array_slope_matches_high_precision_derivative(self, rho):
         # d/dt of (cosh t - cosh(t mu)) / sinh t, mu = 2 rho - 1, evaluated in
         # 100-digit decimals: [cosh t cosh(t mu) - mu sinh t sinh(t mu) - 1] / sinh(t)^2
         ts = [1e-6, 1e-3, 0.01, 0.5, 1.999, 2.0, 2.001, 10.0, 40.0, 100.0, 349.9, 350.0, 350.1, 1e3]
-        _, slope = wellspec.spectrum._rhs_negative_array(np.array(ts), rho)
+        _, slope = wellspec.spectrum._rhs_negative_and_slope(np.array(ts), rho)
         with localcontext() as ctx:
             ctx.prec = 100
             mu = 2 * Decimal(rho) - 1
@@ -203,12 +202,6 @@ class TestRhsNegative:
             want = [float((ch(Decimal(t)) * ch(Decimal(t) * mu) - mu * sh(Decimal(t)) * sh(Decimal(t) * mu) - 1)
                           / sh(Decimal(t)) ** 2) for t in ts]
         np.testing.assert_allclose(slope, want, rtol=1e-12, atol=0.0)
-
-    def test_branches_agree_at_seams(self):
-        for rho in (0.5, 0.21):
-            for t in (0.00999, 0.01001, 1.999, 2.001, 349.9, 350.1):
-                direct = 2.0 * math.sinh(t * rho) * math.sinh(t * (1 - rho)) / math.sinh(t)
-                assert ws.rhs_negative(t, rho) == pytest.approx(direct, rel=1e-12)
 
 
 class TestEnumerateNodal:
@@ -290,8 +283,8 @@ class TestBoundState:
     def test_near_wall_near_threshold_root(self):
         # 1e-13 below the threshold next to a wall the quartic coefficient c4 is
         # negative, so the series root does not exist; the bracketed solve meets
-        # kappa L = 5e4 in the exp form of rhs_negative, whose near exponent must
-        # be 2 rho exactly. The reference is a 50-digit mpmath root of the same
+        # kappa L = 5e4, where rhs_negative must neither overflow nor lose the
+        # wall distance rho. The reference is a 50-digit mpmath root of the same
         # equation at the same float inputs.
         want = 50001.666736129591176929
         with warnings.catch_warnings():
@@ -301,6 +294,25 @@ class TestBoundState:
         assert entry.kind == ws.ORDINARY_NEGATIVE
         assert entry.k == pytest.approx(want, rel=1e-6)
         assert math.sqrt(-energy) == pytest.approx(want, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "rho, f, want",
+        [
+            (1e-9, 1.999999398e-9, "301.00006043872930594216572502386817930846539132027"),
+            (1e-9, 1.999997998e-9, "1001.0006680556160895545457357495888572490858483408"),
+            (1e-7, 1.99999e-7, "50.000166667417815167773751913875787224501879579641"),
+            (1e-6, 1.999898e-6, "51.001734073623888396952573684655668045354087739083"),
+        ],
+    )
+    def test_near_wall_roots_match_high_precision(self, rho, f, want):
+        # just below the threshold next to a wall, rhs_negative is ~2 rho t at
+        # kappa L of 50 to 1e3, so it must keep the wall distance to full
+        # precision. The references are 50-digit mpmath roots of the same
+        # equation at the same float inputs.
+        entry = ws.full_spectrum(_gen(rho, f), 0.0).entries[0]
+        assert entry.kind == ws.ORDINARY_NEGATIVE
+        assert entry.k == pytest.approx(float(want), rel=1e-9)
+        assert math.sqrt(-ws.ground_states(rho, f)) == pytest.approx(float(want), rel=1e-9)
 
     def test_scaled_residual_certificate(self):
         s = _bound(_gen(0.33, 0.2))
@@ -346,7 +358,7 @@ class TestGroundState:
     def test_batched_matches_full_spectrum(self):
         rho = np.linspace(0.005, 0.995, 199)
         fc = 2.0 * rho * (1.0 - rho)
-        # |f| = 1e-3 binds at kappa L ~ 1e3, past the exp branch of rhs_negative at 350
+        # |f| = 1e-3 binds at kappa L ~ 1e3, where the sinh form of rhs_negative would overflow
         fs = [np.full(rho.size, sign * mag) for mag in np.logspace(-3.0, 2.0, 11) for sign in (1.0, -1.0)]
         fs += [fc + df for df in (-1e-6, 1e-6, -1e-8, 1e-8, -5e-11, 5e-11)]
         fs += [np.full(rho.size, math.inf), np.full(rho.size, -math.inf)]
