@@ -30,7 +30,7 @@ DEFAULT_K_MAX = 20.0 * math.pi
 
 _EPS = 2.220446049250313e-16
 _RESIDUAL_TOL = 1e-10  # a root's |g| may be at most this times max(1, |f| kL)
-_MAX_BISECT = 240  # cap on the passes of one solve
+_MAX_PASSES = 240  # cap on the passes of one solve, and on the bisection steps of its fallback
 
 
 class EigenState(NamedTuple):
@@ -118,7 +118,7 @@ def negative_residual(kappaL: float, config: DimensionlessConfig) -> float:
     return config.f * kappaL - rhs_negative(kappaL, config.rho)
 
 
-def solve_brackets(fn, lo, hi, lo_sign, max_iter: int = _MAX_BISECT) -> np.ndarray:
+def solve_brackets(fn, lo, hi, lo_sign, x0=math.nan) -> np.ndarray:
     """The root of ``fn`` on every bracket (lo[i], hi[i]), solved at once by safeguarded Newton.
 
     ``fn(x, idx)`` returns the values and the slopes at the points ``x`` of the
@@ -128,13 +128,20 @@ def solve_brackets(fn, lo, hi, lo_sign, max_iter: int = _MAX_BISECT) -> np.ndarr
     never evaluated, so a bracket may end on a pole, or on a rounded multiple
     of pi where ``fn`` rounds to the wrong sign.
 
-    Each pass evaluates every open bracket at its iterate and narrows the
-    bracket by the sign; an exact zero closes it.  The next iterate is the
-    Newton point when it lies inside the bracket and its step is at most half
-    the step before last (the safeguard of Numerical Recipes' ``rtsafe``).
-    Otherwise the iterate moves from the end it just set toward the other
-    end: by twice the step right after a Newton step, so that a stall at the
-    rounding floor straddles the root, and to the midpoint after that.
+    The first iterate of bracket i is ``x0[i]`` (a scalar or one entry per
+    bracket) when it lies strictly inside (lo[i], hi[i]), and the midpoint
+    otherwise: a start on an end, outside, NaN or infinite is not used.  Each
+    pass evaluates every open bracket at its iterate and narrows the bracket
+    by the sign; an exact zero closes it.  A Newton point past an end is
+    clipped into [lo + tol, hi - tol], so a root within rounding of the end
+    is probed just inside it rather than approached by halving; the clip
+    only places the probe and never closes a bracket.  The next iterate is
+    the Newton point when it lies inside the bracket and its step is at most
+    half the step before last (the safeguard of Numerical Recipes'
+    ``rtsafe``).  Otherwise the iterate moves from the end it just set toward
+    the other end: by twice the step right after a Newton step, so that a
+    stall at the rounding floor straddles the root, and to the midpoint
+    after that.
 
     With tol = 4 eps max(1, |x|), a bracket is done once its width or its
     Newton step is within tol; the root is then the midpoint, or the Newton
@@ -148,11 +155,12 @@ def solve_brackets(fn, lo, hi, lo_sign, max_iter: int = _MAX_BISECT) -> np.ndarr
     sign0 = np.broadcast_to(np.asarray(lo_sign, dtype=float), lo.shape)
     out = np.empty(lo.size)
     idx, sign = np.arange(lo.size), sign0
-    x = 0.5 * (lo + hi)
+    x = np.broadcast_to(np.asarray(x0, dtype=float), lo.shape)
+    x = np.where((x > lo) & (x < hi), x, 0.5 * (lo + hi))
     last = before = hi - lo  # sizes of the last two steps
     found = []  # (idx, root, lo, hi) of the Newton roots
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(max_iter):
+        for _ in range(_MAX_PASSES):
             if not idx.size:
                 break
             v, dv = fn(x, idx)
@@ -168,9 +176,11 @@ def solve_brackets(fn, lo, hi, lo_sign, max_iter: int = _MAX_BISECT) -> np.ndarr
                 l, h, t = lo[done], hi[done], tol[done]
                 found.append((idx[done], np.where(h - l <= t, 0.5 * (l + h), np.clip(xn[done], l, h)), l, h))
                 keep = ~done
-                idx, sign, x, lo, hi, xn, size, vs, last, before = (
-                    a[keep] for a in (idx, sign, x, lo, hi, xn, size, vs, last, before)
+                idx, sign, x, lo, hi, xn, size, tol, vs, last, before = (
+                    a[keep] for a in (idx, sign, x, lo, hi, xn, size, tol, vs, last, before)
                 )
+            xn = np.clip(xn, lo + tol, hi - tol)  # a Newton point past an end probes just inside it
+            # on a bracket narrower than 2 tol the clip may round onto an end, which is never evaluated
             take = (size <= 0.5 * before) & (xn > lo) & (xn < hi)
             half = 0.5 * (hi - lo)
             move = np.fmin(2.0 * np.fmax(size, last), half)  # fmax: a NaN step counts as none
@@ -200,7 +210,7 @@ def solve_brackets(fn, lo, hi, lo_sign, max_iter: int = _MAX_BISECT) -> np.ndarr
     hi = np.where(down, pts[:, 0], hi)[failed]
     lo = np.where(up, pts[:, 1], lo)[failed]
     idx, down, reach, sign = idx[failed], down[failed], 2.0 * tol[failed], sign0[idx[failed]]
-    for _ in range(max_iter):
+    for _ in range(_MAX_PASSES):
         mid = 0.5 * (lo + hi)
         narrow = hi - lo <= 4.0 * _EPS * np.maximum(1.0, np.abs(mid))
         if narrow.any():
@@ -369,7 +379,9 @@ def ground_states(rho, f) -> np.ndarray:
     * level 1 ``decoupled`` and no root below it: the level pi itself.
 
     Every bracket is solved by one ``solve_brackets`` call, and every root
-    carries the residual certificate of its form.
+    carries the residual certificate of its form.  The g brackets (0, pi)
+    and (pi, 2 pi) start at the weak-coupling root beside level 1; the bound
+    and narrowed brackets start at their midpoints.
     """
     rho, f = np.broadcast_arrays(np.asarray(rho, dtype=float), np.asarray(f, dtype=float))
     shape = rho.shape
@@ -383,7 +395,8 @@ def ground_states(rho, f) -> np.ndarray:
     t_est = _series_root(rho, f)
     series = ~np.isnan(t_est)
     closed = series & (np.abs(f - fc) <= 1e-10)
-    at_pi = decoupled(np.sin(np.pi * rho), f, 1) & ((f > fc) & ~series | (f < 0.0))
+    u1 = np.sin(np.pi * rho)  # the weight of level 1
+    at_pi = decoupled(u1, f, 1) & ((f > fc) & ~series | (f < 0.0))
     b = np.flatnonzero((f > 0.0) & (f < fc) & ~series)
     s = np.flatnonzero((f > fc) & series & ~closed)
     u = np.flatnonzero((f > fc) & ~series & ~at_pi)
@@ -396,8 +409,10 @@ def ground_states(rho, f) -> np.ndarray:
          np.full(u.size, math.pi), np.full(r.size, 2.0 * math.pi))
     )
     sign = np.concatenate((np.full(b.size, -1.0), np.ones(s.size + u.size), np.full(r.size, -1.0)))
+    beside = points[b.size + s.size :]  # (0, pi) and (pi, 2 pi), each root beside level 1
+    x0 = np.concatenate((np.full(b.size + s.size, math.nan), _weak_root(1, u1[beside], f[beside])))
     residual = _table_residual(rho[points], f[points], b.size, points.size - b.size)
-    roots = solve_brackets(residual, lo, hi, sign)
+    roots = solve_brackets(residual, lo, hi, sign, x0)
 
     t = roots[: b.size]
     res = np.abs(residual(t, np.arange(b.size))[0])
@@ -447,9 +462,13 @@ def full_spectrum(config: DimensionlessConfig, k_max: float = DEFAULT_K_MAX) -> 
     Within 1e-10 of the threshold the root nearest zero energy is the series
     root itself.  ``solve_brackets`` solves the whole table in one call, with
     endpoint signs from this count rather than from g at a rounded multiple
-    of pi, and each root is certified in its own form.  The interval holding
-    k_max is solved whole and its root kept when it lies below k_max, which is
-    the rule sign g(k_max) != (-1)^M for the partial interval (M pi, k_max].
+    of pi, and each root is certified in its own form.  Each interval
+    (m pi, (m+1) pi) starts at the ``weak_coupling_estimate`` of the level
+    its root hugs: m + 1 for f > 0 (level 1 for (0, pi)) and m for f < 0.
+    The bound, narrowed and deflated brackets start at their midpoints.  The
+    interval holding k_max is solved whole and its root kept when it lies
+    below k_max, which is the rule sign g(k_max) != (-1)^M for the partial
+    interval (M pi, k_max].
     """
     if not k_max >= 0.0:
         raise ValueError(f"k_max must be non-negative, got {k_max}")
@@ -480,9 +499,13 @@ def full_spectrum(config: DimensionlessConfig, k_max: float = DEFAULT_K_MAX) -> 
          (m + 1) * math.pi, np.full(centers.size, side[1]))
     )
     sign = np.concatenate(([-1.0] * bound, [1.0] * narrowed, 1.0 - 2.0 * (m % 2), np.ones(centers.size)))
+    # the root in (m pi, (m+1) pi) hugs level m + 1 for f > 0 and level m for f < 0
+    x0 = np.concatenate(
+        ([math.nan] * (bound + narrowed), weak_coupling_estimate(m + (f > 0.0), config), np.full(centers.size, math.nan))
+    )
     end = lo.size - centers.size
     table = _table_residual(rho, f, bound, end - bound, centers, config)
-    roots = solve_brackets(table, lo, hi, sign)
+    roots = solve_brackets(table, lo, hi, sign, x0)
 
     pos = roots[bound:end]
     if above and closed:
@@ -509,10 +532,18 @@ def full_spectrum(config: DimensionlessConfig, k_max: float = DEFAULT_K_MAX) -> 
     return Spectrum(config, entries, k_max)
 
 
-def weak_coupling_estimate(N: int, config: DimensionlessConfig) -> float:
-    """Leading weak-coupling root N pi - 2 sin^2(N pi rho)/(N pi f)."""
-    s = math.sin(N * math.pi * config.rho)
-    return N * math.pi - 2.0 * s * s / (N * math.pi * config.f)
+def _weak_root(N, u, f):
+    """N pi - 2 u^2 / (N pi f): the root beside the level N pi of weight u, to first order in 1/f."""
+    return N * math.pi - 2.0 * u * u / (N * math.pi * f)
+
+
+def weak_coupling_estimate(N, config: DimensionlessConfig):
+    """Leading weak-coupling root N pi - 2 sin^2(N pi rho)/(N pi f), at one level N or an integer array of them.
+
+    The weight is ``coupling(config, N)``, exactly 0 at the nodal multiples.
+    """
+    est = _weak_root(np.asarray(N), coupling(config, N), config.f)
+    return est if est.ndim else float(est)
 
 
 def strong_coupling_estimates(config: DimensionlessConfig, count: int) -> list[float]:

@@ -472,8 +472,26 @@ class TestSolveBrackets:
             for cfg in cfgs:
                 ws.full_spectrum(cfg, 90.2 * math.pi)
         passes = np.concatenate([c[5] for c in calls])
-        assert np.median(passes) <= 12
-        assert passes.max() <= 25
+        # started at the weak-coupling roots: median 3 and max 8 (9 and 15 from the midpoints)
+        assert np.median(passes) <= 5
+        assert passes.max() <= 12
+
+    @pytest.mark.parametrize("gap", [2.0**-52, 1e-12, 1e-8])
+    def test_root_next_to_an_end_takes_few_passes(self, gap):
+        # x^2 - r^2 on (0, 1), r = 1 - gap: Newton from below lands past hi = 1.  Clipped just
+        # inside hi, the probe brackets the root at once; rejected, the iterate only halved
+        # its distance to hi (28, 23 and 16 evaluations)
+        r = 1.0 - gap
+        xs = []
+
+        def fn(x, idx):
+            xs.append(x.copy())
+            return x * x - r * r, 2.0 * x
+
+        root = wellspec.spectrum.solve_brackets(fn, [0.0], [1.0], -1.0)
+        assert len(xs) <= 6
+        assert abs(root[0] - r) <= 4.0 * EPS
+        assert all(np.all((x > 0.0) & (x < 1.0)) for x in xs)  # the ends are never evaluated
 
     @pytest.mark.parametrize(
         "wrong",
@@ -491,6 +509,25 @@ class TestSolveBrackets:
             for fn, lo, hi, lo_sign, _, _ in calls:
                 bad = lambda x, idx: (fn(x, idx)[0], wrong(fn(x, idx)[1]))
                 got = wellspec.spectrum.solve_brackets(bad, lo, hi, lo_sign)
+                want = _bisection(fn, lo, hi, lo_sign)
+                assert np.all(np.abs(got - want) <= 6.0 * EPS * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize(
+        "start",
+        [lambda lo, hi: lo - 1.0, lambda lo, hi: hi + 1.0, lambda lo, hi: lo, lambda lo, hi: hi,
+         lambda lo, hi: np.full_like(lo, np.nan), lambda lo, hi: np.full_like(lo, np.inf),
+         lambda lo, hi: np.full_like(lo, -np.inf), lambda lo, hi: lo + 1e-3, lambda lo, hi: hi - 1e-3],
+        ids=["below", "above", "on_lo", "on_hi", "nan", "inf", "minus_inf", "lo_plus", "hi_minus"],
+    )
+    def test_any_start_gives_bisection_roots(self, start):
+        # a start outside (lo, hi), on an end or not a number falls back to the midpoint;
+        # one inside next to the wrong end (each root hugs one end) must still find the
+        # root, within the 6 eps of the wrong-slope test
+        for cfg in (_gen(0.3183, 0.7), _exact(2, 5, -0.3)):
+            with _recorded_solves() as calls:
+                ws.full_spectrum(cfg, 30.0 * math.pi)
+            for fn, lo, hi, lo_sign, _, _ in calls:
+                got = wellspec.spectrum.solve_brackets(fn, lo, hi, lo_sign, start(lo, hi))
                 want = _bisection(fn, lo, hi, lo_sign)
                 assert np.all(np.abs(got - want) <= 6.0 * EPS * np.maximum(1.0, np.abs(want)))
 
@@ -690,6 +727,15 @@ class TestAsymptoticEstimators:
         assert ws.weak_coupling_estimate(2, cfg) == pytest.approx(2.0 * math.pi, abs=1e-14)
         down = ws.weak_coupling_estimate(1, _exact(1, 2, -100.0))
         assert down == pytest.approx(math.pi + 2.0 / (100.0 * math.pi), abs=1e-14)
+
+    def test_weak_formula_on_an_array_of_levels(self):
+        cfg = _exact(2, 5, 3.0)
+        n = np.arange(1, 16)
+        est = ws.weak_coupling_estimate(n, cfg)
+        np.testing.assert_allclose(est, [ws.weak_coupling_estimate(int(k), cfg) for k in n], rtol=1e-15)
+        # the weight comes from ``coupling``: exactly 0 at the nodal multiples of 5
+        np.testing.assert_array_equal(est[n % 5 == 0], n[n % 5 == 0] * math.pi)
+        assert np.all(est[n % 5 != 0] < n[n % 5 != 0] * math.pi)
 
     def test_weak_convergence_rate(self):
         # error of the leading-term estimate shrinks ~ f^-2: ratio ~ 100 per decade
