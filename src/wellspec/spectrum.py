@@ -62,8 +62,12 @@ class Spectrum:
 
 def dispersion_residual(kL, config: DimensionlessConfig):
     """g(kL); zero exactly at nodal and ordinary positive-energy roots."""
-    rho = config.rho
-    return config.f * kL * np.sin(kL) - 2.0 * np.sin(kL * rho) * np.sin(kL * (1.0 - rho))
+    return _residual(kL, config.rho, config.f)
+
+
+def _residual(kL, rho, f):
+    """g(kL) alone, without the slope ``_residual_and_slope`` adds; rho and f may be arrays."""
+    return f * kL * np.sin(kL) - 2.0 * np.sin(kL * rho) * np.sin(kL * (1.0 - rho))
 
 
 def rhs_positive(kL, rho: float, pole_eps: float = 1e-9):
@@ -323,10 +327,13 @@ def _table_residual(rho, f, bound: int, interlacing: int, centers=None, config: 
     return fn
 
 
-def _certify(roots: np.ndarray, config: DimensionlessConfig) -> np.ndarray:
-    """Absolute residuals of g at the roots; raises if any exceeds the scaled tolerance."""
-    res = np.abs(dispersion_residual(roots, config))
-    bad = np.nonzero(res > _RESIDUAL_TOL * np.maximum(1.0, abs(config.f) * roots))[0]
+def _certify(roots: np.ndarray, rho, f) -> np.ndarray:
+    """Absolute residuals of g at the roots; raises if any exceeds the scaled tolerance.
+
+    ``rho`` and ``f`` are scalars, or arrays with one entry per root.
+    """
+    res = np.abs(_residual(roots, rho, f))
+    bad = np.nonzero(res > _RESIDUAL_TOL * np.maximum(1.0, np.abs(f) * roots))[0]
     if bad.size:
         root = float(roots[bad[0]])
         raise SolverFailure(f"root polish left residual {res[bad[0]]:.3e} at kL={root}", (root, root))
@@ -423,11 +430,7 @@ def ground_states(rho, f) -> np.ndarray:
     c = np.flatnonzero(closed & (f > fc))
     pos = np.concatenate((points[b.size :], c))
     k = np.concatenate((roots[b.size :], t_est[c]))
-    res = np.abs(_residual_and_slope(k, rho[pos], f[pos])[0])
-    bad = np.flatnonzero(res > _RESIDUAL_TOL * np.maximum(1.0, np.abs(f[pos]) * k))
-    if bad.size:
-        root = float(k[bad[0]])
-        raise SolverFailure(f"root polish left residual {res[bad[0]]:.3e} at kL={root}", (root, root))
+    _certify(k, rho[pos], f[pos])
 
     energy = np.zeros(rho.size)  # the marginal zero stays where f == fc
     energy[b] = -t * t
@@ -452,6 +455,8 @@ def full_spectrum(config: DimensionlessConfig, k_max: float = DEFAULT_K_MAX) -> 
       below its rounding error on most of (0, pi) near the threshold;
     * below the threshold, 0 < f < fc, the bound root of f t - rhs_negative(t)
       lies in (1e-9, 4 max(1, 1/f)), where the form has lower sign -1;
+    * at the threshold, f == fc, the bound root is kappaL = 0 itself: the
+      zero-energy state, emitted as an ordinary negative entry of energy +0.0;
     * a ``decoupled`` level is a root at m pi itself, reported here unless it
       is a nodal state from ``enumerate_nodal``.  The intervals beside a run
       of them merge into one bracket holding one companion, past the run's end
@@ -516,7 +521,7 @@ def full_spectrum(config: DimensionlessConfig, k_max: float = DEFAULT_K_MAX) -> 
     if centers.size or shown.size:
         pos = np.sort(np.concatenate((pos, centers * math.pi + roots[end:], shown * math.pi)))
     pos = pos[pos <= k_max]
-    res = _certify(pos, config)
+    res = _certify(pos, rho, f)
     # tuple.__new__ builds the entries without the named tuple's Python-level __new__
     rows = zip(repeat(ORDINARY_POSITIVE), pos.tolist(), (pos * pos).tolist(), res.tolist(), repeat(None), repeat(None))
     entries = list(map(tuple.__new__, repeat(EigenState), rows))
@@ -526,6 +531,8 @@ def full_spectrum(config: DimensionlessConfig, k_max: float = DEFAULT_K_MAX) -> 
         if res > _RESIDUAL_TOL:
             raise SolverFailure(f"negative root residual {res:.3e}", (t, t))
         entries.insert(0, EigenState(ORDINARY_NEGATIVE, t, -t * t, res))
+    elif f == fc:  # the zero-energy state, the kappa -> 0 member of the bound family
+        entries.insert(0, EigenState(ORDINARY_NEGATIVE, 0.0, 0.0, 0.0))
     if config.is_exact:  # the nodal levels interleave with the rest; otherwise the entries are in order
         entries.extend(enumerate_nodal(config.rational, k_max))
         entries.sort(key=attrgetter("energy"))

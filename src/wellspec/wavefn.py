@@ -2,12 +2,18 @@
 
 Each wave is two segments meeting at the junction x = rho:
 
-    left  (0 <= x <= rho):      amp_left  * F(k * x)
-    right (rho <= x <= 1):      amp_right * F(k * (1 - x))
+    left  (0 <= x <= rho):      amp_left  * F(k, x, rho)
+    right (rho <= x <= 1):      amp_right * F(k, 1 - x, 1 - rho)
 
-with F = sin for oscillatory/nodal kinds and F = sinh for the evanescent
-kind.  Evanescent amplitudes are kept in log form internally so evaluation
-stays finite for decay constants up to ~1e4.
+with F = sin(k x) for the oscillatory and nodal kinds.  The evanescent kind
+is junction-normalised: F = S(kappa, x, T) = sinh(kappa x) / sinh(kappa T),
+taken as e^{kappa (x - T)} expm1(-2 kappa x) / expm1(-2 kappa T) and as x / T
+at kappa = 0, and both amplitudes hold the junction value.  S lies in [0, 1]
+and is exactly 1 at the junction, so no value, slope or integral grows like
+e^kappa, and continuity holds exactly at any kappa L (Higham, Accuracy and
+Stability of Numerical Algorithms, 2002, sec. 1.14).  The zero-energy state
+at the binding threshold is the kappa = 0 member of the family: the tent
+sqrt(3) x / rho, sqrt(3) (1 - x) / (1 - rho).
 """
 
 from __future__ import annotations
@@ -34,35 +40,49 @@ OSCILLATORY = "oscillatory"
 EVANESCENT = "evanescent"
 NODAL_WAVE = "nodal"
 
-_LOG2 = math.log(2.0)
+
+# B_2, B_4, ..., B_28 as (numerator, denominator)
+_EVEN_BERNOULLI = (
+    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510), (43867, 798),
+    (-174611, 330), (854513, 138), (-236364091, 2730), (8553103, 6), (-23749461029, 870),
+)
+# phi(s) = sum_{n >= 1} n 4^n B_2n s^(2n - 2) / (2n)!, highest power first; the terms fall by about (s / pi)^2.
+# The integer quotient rounds each coefficient correctly.
+_PHI_SERIES = [n * 4**n * p / (q * math.factorial(2 * n)) for n, (p, q) in enumerate(_EVEN_BERNOULLI, 1)][::-1]
 
 
-def _logsinh(t: float) -> float:
-    if t <= 0.0:
-        return -math.inf
-    if t < 1e-8:
-        return math.log(t)
-    return t + math.log1p(-math.exp(-2.0 * t)) - _LOG2
+def _phi(s: float) -> float:
+    """phi(s) = coth(s) / (2 s) - 1 / (2 sinh(s)^2), 1/3 at s = 0.
+
+    The integral of S(kappa, u, T)^2 over [0, T] is T phi(kappa T).
+    Below s = 3/4 the even series, above it the closed form in e^(-2s)
+    (1 - e^(-4s) - 4 s e^(-2s)) / (2 s (1 - e^(-2s))^2); each is within
+    about 3 ulp of the true value on its side of the switch.
+    """
+    if s < 0.75:
+        s2, acc = s * s, 0.0
+        for c in _PHI_SERIES:
+            acc = acc * s2 + c
+        return acc
+    q = -math.expm1(-2.0 * s)
+    return (-math.expm1(-4.0 * s) - 4.0 * s * math.exp(-2.0 * s)) / (2.0 * s * q * q)
 
 
-def _logcosh(t: float) -> float:
-    return t + math.log1p(math.exp(-2.0 * t)) - _LOG2
+def _kcoth(k: float, T: float) -> float:
+    """k coth(k T), the log-derivative of S(k, x, T) at x = T; 1 / T at k = 0."""
+    return k / math.tanh(k * T) if k else 1.0 / T
+
+
+def _ratio(k: float, x: float, T: float) -> float:
+    """S(k, x, T) = sinh(k x) / sinh(k T) for 0 <= x <= T; x / T at k = 0, and exactly 1 at x = T."""
+    if not k:
+        return x / T
+    return math.exp(k * (x - T)) * math.expm1(-2.0 * k * x) / math.expm1(-2.0 * k * T)
 
 
 def _int_sin2(k: float, T: float) -> float:
     """Integral of sin(k u)^2 over [0, T]."""
     return 0.5 * T - math.sin(2.0 * k * T) / (4.0 * k)
-
-
-def _log_int_sinh2(kappa: float, T: float) -> float:
-    """log of the integral of sinh(kappa u)^2 over [0, T], overflow-free."""
-    s = 2.0 * kappa * T
-    if s < 0.1:
-        return math.log(s**3 / 6.0 * (1.0 + s * s / 20.0 + s**4 / 840.0)) - math.log(4.0 * kappa)
-    if s < 700.0:
-        return math.log(math.sinh(s) - s) - math.log(4.0 * kappa)
-    ls = _logsinh(s)
-    return ls + math.log1p(-math.exp(math.log(s) - ls)) - math.log(4.0 * kappa)
 
 
 def _int_sin_sin(a: float, b: float, T: float) -> float:
@@ -73,30 +93,33 @@ def _int_sin_sin(a: float, b: float, T: float) -> float:
     return 0.5 * (math.sin(d * T) / d - math.sin(s * T) / s)
 
 
+def _int_sin_ratio(a: float, b: float, T: float) -> float:
+    """Integral of sin(a u) S(b, u, T) over [0, T]."""
+    return (_kcoth(b, T) * math.sin(a * T) - a * math.cos(a * T)) / (a * a + b * b)
+
+
+def _int_ratio_ratio(a: float, b: float, T: float) -> float:
+    """Integral of S(a, u, T) S(b, u, T) over [0, T]."""
+    if a == b:
+        return T * _phi(a * T)
+    return (_kcoth(a, T) - _kcoth(b, T)) / (a * a - b * b)
+
+
 @dataclass(frozen=True)
 class PiecewiseWave:
-    """Normalized two-segment eigenfunction.
-
-    ``norm`` is the constant the raw segment amplitudes were divided by.
-    For the evanescent kind the public amplitudes may under/overflow at
-    extreme decay; ``log_left``/``log_right`` are the authoritative
-    representation used by evaluation (both segments are positive there).
-    """
+    """Normalized two-segment eigenfunction; the module docstring gives the segment forms."""
 
     kind: str
     k: float
     rho: float
     amp_left: float
     amp_right: float
-    norm: float
-    log_left: float = math.nan
-    log_right: float = math.nan
 
 
 def _nodal_wave(k: float, m: int, rho: float) -> PiecewiseWave:
     """sqrt(2) sin(k x) at k = m pi, whose right segment carries the parity sign (-1)^(m+1)."""
     amp = math.sqrt(2.0)
-    return PiecewiseWave(NODAL_WAVE, k, rho, amp, amp if m % 2 == 1 else -amp, 1.0)
+    return PiecewiseWave(NODAL_WAVE, k, rho, amp, amp if m % 2 == 1 else -amp)
 
 
 def build_wave(
@@ -116,7 +139,7 @@ def build_wave(
     if state.kind == ORDINARY_POSITIVE:
         k = state.k
         if k == 0.0:
-            raise InconsistentState("the marginal zero-energy state has no trigonometric form")
+            raise InconsistentState("the zero-energy state is the ordinary negative one at kappaL = 0")
         if check and abs(float(dispersion_residual(k, config))) > tol * max(1.0, abs(config.f) * k):
             raise InconsistentState(f"residual certificate fails at kL={k}")
         m = round(k / math.pi)
@@ -130,49 +153,27 @@ def build_wave(
         amp_l, amp_r = raw_l / norm, raw_r / norm
         if amp_l < 0.0:
             amp_l, amp_r = -amp_l, -amp_r
-        return PiecewiseWave(OSCILLATORY, k, rho, amp_l, amp_r, norm)
+        return PiecewiseWave(OSCILLATORY, k, rho, amp_l, amp_r)
 
     if state.kind == ORDINARY_NEGATIVE:
         kap = state.k
         if check and abs(negative_residual(kap, config)) > tol:
             raise InconsistentState(f"residual certificate fails at kappaL={kap}")
-        ll_raw = _logsinh(kap * (1.0 - rho))
-        lr_raw = _logsinh(kap * rho)
-        la = 2.0 * ll_raw + _log_int_sinh2(kap, rho)
-        lb = 2.0 * lr_raw + _log_int_sinh2(kap, 1.0 - rho)
-        logn2 = max(la, lb) + math.log1p(math.exp(-abs(la - lb)))
-        log_l = ll_raw - 0.5 * logn2
-        log_r = lr_raw - 0.5 * logn2
-        norm = math.exp(0.5 * logn2) if logn2 < 1400.0 else math.inf
-        return PiecewiseWave(
-            EVANESCENT,
-            kap,
-            rho,
-            math.exp(log_l),
-            math.exp(log_r),
-            norm,
-            log_left=log_l,
-            log_right=log_r,
-        )
+        junction = 1.0 / math.sqrt(_int_ratio_ratio(kap, kap, rho) + _int_ratio_ratio(kap, kap, 1.0 - rho))
+        return PiecewiseWave(EVANESCENT, kap, rho, junction, junction)
 
     raise InconsistentState(f"unknown state kind {state.kind!r}")
 
 
 def _left_value(w: PiecewiseWave, x: float) -> float:
     if w.kind == EVANESCENT:
-        t = w.k * x
-        if t <= 0.0:
-            return 0.0
-        return math.exp(w.log_left + _logsinh(t))
+        return w.amp_left * _ratio(w.k, x, w.rho)
     return w.amp_left * math.sin(w.k * x)
 
 
 def _right_value(w: PiecewiseWave, x: float) -> float:
     if w.kind == EVANESCENT:
-        t = w.k * (1.0 - x)
-        if t <= 0.0:
-            return 0.0
-        return math.exp(w.log_right + _logsinh(t))
+        return w.amp_right * _ratio(w.k, 1.0 - x, 1.0 - w.rho)
     return w.amp_right * math.sin(w.k * (1.0 - x))
 
 
@@ -191,13 +192,13 @@ def evaluate(wave: PiecewiseWave, x: float) -> float:
 
 def _left_slope_at_junction(w: PiecewiseWave) -> float:
     if w.kind == EVANESCENT:
-        return w.k * math.exp(w.log_left + _logcosh(w.k * w.rho))
+        return w.amp_left * _kcoth(w.k, w.rho)
     return w.amp_left * w.k * math.cos(w.k * w.rho)
 
 
 def _right_slope_at_junction(w: PiecewiseWave) -> float:
     if w.kind == EVANESCENT:
-        return -w.k * math.exp(w.log_right + _logcosh(w.k * (1.0 - w.rho)))
+        return -w.amp_right * _kcoth(w.k, 1.0 - w.rho)
     return -w.amp_right * w.k * math.cos(w.k * (1.0 - w.rho))
 
 
@@ -213,53 +214,15 @@ def matching_defect(wave: PiecewiseWave, config: DimensionlessConfig) -> tuple[f
     return continuity, jump
 
 
-def _trig_trig_product(w1: PiecewiseWave, w2: PiecewiseWave) -> float:
-    rho = w1.rho
-    return w1.amp_left * w2.amp_left * _int_sin_sin(w1.k, w2.k, rho) + w1.amp_right * w2.amp_right * _int_sin_sin(
-        w1.k, w2.k, 1.0 - rho
-    )
-
-
-def _trig_evan_segment(a: float, b: float, T: float, amp_trig: float, log_ev: float) -> float:
-    # integral of sin(a u) sinh(b u) split into e^{bT} and e^{-bT} parts so the
-    # log-amplitude of the evanescent factor can absorb the growth
-    denom = 2.0 * (a * a + b * b)
-    p = (b * math.sin(a * T) - a * math.cos(a * T)) / denom
-    q = (b * math.sin(a * T) + a * math.cos(a * T)) / denom
-    return amp_trig * (math.exp(log_ev + b * T) * p + math.exp(log_ev - b * T) * q)
-
-
-def _trig_evan_product(wt: PiecewiseWave, we: PiecewiseWave) -> float:
-    rho = wt.rho
-    left = _trig_evan_segment(wt.k, we.k, rho, wt.amp_left, we.log_left)
-    right = _trig_evan_segment(wt.k, we.k, 1.0 - rho, wt.amp_right, we.log_right)
-    return left + right
-
-
-def _evan_evan_segment(a: float, b: float, T: float, l1: float, l2: float) -> float:
-    if a == b:
-        return math.exp(l1 + l2 + _log_int_sinh2(a, T))
-    s = a + b
-    d = abs(a - b)
-    t1 = math.exp(l1 + l2 + _logsinh(s * T)) / (2.0 * s)
-    t2 = math.exp(l1 + l2 + _logsinh(d * T)) / (2.0 * d) if d > 0.0 else math.exp(l1 + l2) * T * 0.5
-    return t1 - t2
-
-
 def inner_product(w1: PiecewiseWave, w2: PiecewiseWave) -> float:
     """Exact closed-form integral of w1*w2 over the well; no quadrature."""
     e1 = w1.kind == EVANESCENT
     e2 = w2.kind == EVANESCENT
-    if not e1 and not e2:
-        return _trig_trig_product(w1, w2)
-    if e1 and e2:
-        rho = w1.rho
-        left = _evan_evan_segment(w1.k, w2.k, rho, w1.log_left, w2.log_left)
-        right = _evan_evan_segment(w1.k, w2.k, 1.0 - rho, w1.log_right, w2.log_right)
-        return left + right
-    if e1:
-        return _trig_evan_product(w2, w1)
-    return _trig_evan_product(w1, w2)
+    if e1 and not e2:
+        w1, w2 = w2, w1
+    segment = _int_ratio_ratio if e1 and e2 else _int_sin_ratio if e1 or e2 else _int_sin_sin
+    a, b, rho = w1.k, w2.k, w1.rho
+    return w1.amp_left * w2.amp_left * segment(a, b, rho) + w1.amp_right * w2.amp_right * segment(a, b, 1.0 - rho)
 
 
 def gram_matrix(waves: list[PiecewiseWave]):

@@ -164,6 +164,13 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "FAIL" not in out and out.count("PASS") == 5
 
+    @pytest.mark.parametrize("position", [["--rho", "1/2", "--f", "0.5"], ["--rho-real", "0.3", "--f", "0.42"]])
+    def test_check_at_the_binding_threshold_passes(self, position, capsys):
+        # f == 2 rho (1 - rho): the zero-energy state is the lowest level, as the oracle finds
+        assert main(["check", *position]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out and out.count("PASS") == 5
+
     def test_check_solves_the_oracle_once(self, monkeypatch, capsys):
         calls = []
         solve = wellspec.oracle.solve_brackets

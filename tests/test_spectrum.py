@@ -253,8 +253,13 @@ class TestOrdinaryPositive:
 
 
 class TestBoundState:
-    def test_center_marginal_boundary(self):
-        assert _bound(_exact(1, 2, 0.5)) is None
+    @pytest.mark.parametrize("cfg", [_exact(1, 2, 0.5), _gen(0.5, 0.5), _gen(0.3, 0.42)], ids=repr)
+    def test_center_marginal_boundary(self, cfg):
+        # at f == 2 rho (1 - rho) the bound root is kappa L = 0: the zero-energy state, at energy +0.0
+        s = _bound(cfg)
+        assert s == ws.EigenState(ws.ORDINARY_NEGATIVE, 0.0, 0.0, 0.0)
+        assert math.copysign(1.0, s.energy) == 1.0
+        assert ws.negative_residual(s.k, cfg) == 0.0
 
     def test_center_strong_attraction(self):
         # independent bisection on tanh(t/2) = 0.1 t: t = 9.999091217152323
@@ -341,9 +346,11 @@ class TestGroundState:
         "cfg",
         [_gen(rho, f) for rho in (0.13, 0.5, 0.71) for f in (-50.0, -2.0, -0.3, -0.05, 0.05, 0.3, 2.0, 50.0)]
         + [_exact(p, n, f) for p, n in ((1, 2), (2, 5)) for f in (-50.0, -0.3, -0.01, 0.01, 0.3, 50.0)]
-        # near the binding threshold; only f == 2 rho (1 - rho) itself is the marginal zero
+        # near the binding threshold
         + [_gen(rho, 2.0 * rho * (1.0 - rho) + df) for rho in (0.13, 0.3, 0.5) for df in (-1e-6, -1e-8, 1e-8, 5e-11, 1e-6)]
         + [_exact(1, 2, 0.5 + df) for df in (-1e-6, 5e-11, 1e-8, 1e-6)]
+        # the threshold itself, where the lowest level is the zero-energy state
+        + [_exact(1, 2, 0.5), _gen(0.5, 0.5), _gen(0.3, 0.42)]
         # decoupled lowest levels: 2 pi at the float 0.5, and pi next to a wall
         + [_gen(0.5, -1e-3)]
         + [_gen(rho, f) for rho in (1e-10, 1.0 - 1e-10) for f in (-3.0, -0.05, 0.05, 3.0)],
@@ -352,7 +359,8 @@ class TestGroundState:
     def test_matches_lowest_spectrum_entry(self, cfg):
         # the batched sweep solves the lowest bracket of full_spectrum's table
         e0 = ws.full_spectrum(cfg, 4.0 * math.pi).entries[0]
-        assert e0.kind == (ws.ORDINARY_NEGATIVE if 0.0 < cfg.f < 2.0 * cfg.rho * (1.0 - cfg.rho) else ws.ORDINARY_POSITIVE)
+        bound = 0.0 < cfg.f <= 2.0 * cfg.rho * (1.0 - cfg.rho)  # f == fc gives the zero-energy state
+        assert e0.kind == (ws.ORDINARY_NEGATIVE if bound else ws.ORDINARY_POSITIVE)
         assert ws.ground_states(cfg.rho, cfg.f) == pytest.approx(e0.energy, rel=1e-12)
 
     def test_batched_matches_full_spectrum(self):
@@ -686,10 +694,12 @@ class TestFullSpectrum:
         with pytest.raises(ValueError, match="k_max must be non-negative"):
             ws.full_spectrum(_gen(0.3, 0.1), k_max)
 
-    @pytest.mark.parametrize("cfg", [_gen(0.3, 0.1), _exact(1, 2, 0.1), _gen(0.3, 0.5), _gen(0.3, -0.1)], ids=repr)
+    @pytest.mark.parametrize(
+        "cfg", [_gen(0.3, 0.1), _exact(1, 2, 0.1), _gen(0.3, 0.5), _gen(0.3, -0.1), _gen(0.3, 0.42)], ids=repr
+    )
     def test_zero_ceiling_gives_the_bound_state_alone(self, cfg):
         entries = ws.full_spectrum(cfg, 0.0).entries
-        assert [s.kind for s in entries] == [ws.ORDINARY_NEGATIVE] * (0.0 < cfg.f < 2.0 * cfg.rho * (1.0 - cfg.rho))
+        assert [s.kind for s in entries] == [ws.ORDINARY_NEGATIVE] * (0.0 < cfg.f <= 2.0 * cfg.rho * (1.0 - cfg.rho))
         assert entries == ws.full_spectrum(cfg, 4.0 * math.pi).entries[: len(entries)]
 
 

@@ -11,6 +11,9 @@ from wellspec import wavefn
 from wellspec.wavefn import EVANESCENT, NODAL_WAVE, OSCILLATORY, PiecewiseWave
 
 
+EPS = np.finfo(float).eps
+
+
 def _exact(p, n, f):
     return ws.DimensionlessConfig.exact(p, n, f)
 
@@ -32,7 +35,7 @@ def step_limit_wave(j: int) -> PiecewiseWave:
     """
     k = 2.0 * j * math.pi
     amp = math.sqrt(2.0)
-    return PiecewiseWave(OSCILLATORY, k, 0.5, amp, amp, 1.0)
+    return PiecewiseWave(OSCILLATORY, k, 0.5, amp, amp)
 
 
 def _composed_value(w, x):
@@ -97,7 +100,7 @@ class TestBuildWave:
 
     def test_marginal_state_rejected(self):
         cfg = _exact(1, 2, 0.5)
-        g = ws.EigenState(ws.ORDINARY_POSITIVE, 0.0, 0.0, 0.0)  # the ground state at f = 2 rho (1 - rho)
+        g = ws.EigenState(ws.ORDINARY_POSITIVE, 0.0, 0.0, 0.0)  # the zero-energy state is ordinary negative
         with pytest.raises(ws.InconsistentState):
             ws.build_wave(g, cfg)
 
@@ -173,7 +176,57 @@ class TestEvaluate:
         vals = [ws.evaluate(w, x) for x in (0.1, 0.2999, 0.3, 0.3001, 0.9)]
         assert all(map(math.isfinite, vals))
         assert vals[2] > 0.0
-        assert ws.inner_product(w, w) == pytest.approx(1.0, abs=1e-10)
+        assert abs(ws.inner_product(w, w) - 1.0) <= 4.0 * EPS
+
+
+class TestJunctionForm:
+    """The bound wave: its junction value times sinh(kappa x) / sinh(kappa rho) and its mirror."""
+
+    @pytest.mark.parametrize("f", [1e-2, 1e-3, 1e-4, 1e-6, 1e-7, 1e-9])
+    @pytest.mark.parametrize("rho", [0.05, 0.3, 0.5])
+    def test_bound_wave_exact_at_any_decay(self, rho, f):
+        cfg = _gen(rho, f)
+        s = ws.full_spectrum(cfg, 0.0).entries[0]
+        w = ws.build_wave(s, cfg)
+        assert abs(ws.inner_product(w, w) - 1.0) <= 4.0 * EPS
+        cont, jump = ws.matching_defect(w, cfg)
+        assert cont == 0.0
+        if s.k <= 1e4:
+            assert jump <= 1e-8
+
+    # 50-digit mpmath values of coth(s) / (2 s) - 1 / (2 sinh(s)^2), 1/3 at s = 0
+    PHI = [
+        (0.0, "0.33333333333333333333333333333333333333333333333333"),
+        (1e-8, "0.33333333333333332888888888888888876640263389056067"),
+        (0.03, "0.33329333847557340345849575785372386028707874876436"),
+        (0.5, "0.32260622532306821087917696478502391133042734884969"),
+        (1.0, "0.29448681226651041861408622890012862782631280000861"),
+        (30.0, "0.016666666666666666666666649445528833363510000972159"),
+        (1e4, "0.00005"),
+    ]
+
+    @pytest.mark.parametrize("s, want", PHI)
+    def test_phi_against_frozen_references(self, s, want):
+        want = float(want)
+        assert abs(wavefn._phi(s) - want) <= 8.0 * EPS * want
+
+    def test_zero_energy_state_is_the_tent(self):
+        # at f = 2 rho (1 - rho) the bound state is psi = sqrt(3) x / rho, sqrt(3) (1 - x) / (1 - rho)
+        cfg = _exact(1, 2, 0.5)
+        states = _first_states(cfg, 8)
+        assert states[0] == ws.EigenState(ws.ORDINARY_NEGATIVE, 0.0, 0.0, 0.0)
+        waves = [ws.build_wave(s, cfg) for s in states]
+        w = waves[0]
+        assert w.kind == EVANESCENT and w.k == 0.0
+        assert w.amp_left == pytest.approx(math.sqrt(3.0), rel=2.0 * EPS)
+        assert w.amp_right == w.amp_left
+        for x in (0.1, 0.3, 0.5, 0.8):
+            assert ws.evaluate(w, x) == pytest.approx(math.sqrt(3.0) * min(x, 1.0 - x) / 0.5, rel=4.0 * EPS)
+        assert ws.matching_defect(w, cfg)[0] == 0.0
+        assert ws.matching_defect(w, cfg)[1] <= 1e-8
+        g = ws.gram_matrix(waves)
+        assert np.abs(np.diag(g) - 1.0).max() <= 1e-12
+        assert np.abs(g - np.diag(np.diag(g))).max() <= 1e-9
 
 
 class TestMatching:
