@@ -2,13 +2,15 @@
 
 Exit codes: 0 success, 2 invalid flags, 3 solver failure, 4 check failure.
 Outputs are plot-ready CSV (stable headers) or a JSON run report with a
-versioned ``schema`` field; no images are produced.
+versioned ``schema`` field; no images are produced.  Each CSV row is one
+formatted line of unquoted fields, every number in ``.12g``; no field can
+hold a comma, quote or newline, so the bytes are those a ``csv.writer`` of
+``format(x, ".12g")`` fields gives.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -31,10 +33,6 @@ EXIT_CHECK = 4
 DISPERSION_HEADER = ["kL_over_pi", "rhs", "is_pole"]
 SWEEP_HEADER = ["f", "sign", "rho", "E_over_EB"]
 SPECTRUM_HEADER = ["kind", "k_over_pi", "energy", "residual"]
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
 
 
 @dataclass
@@ -83,12 +81,11 @@ def _open_out(path: str):
     return open(path, "w", newline=""), True
 
 
-def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
+def _write_csv(path: str, header: list[str], lines: list[str]) -> None:
+    """Write the header and the already formatted ``lines``, each ending in a newline, in one call."""
     fh, close = _open_out(path)
     try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n" + "".join(lines))
     finally:
         if close:
             fh.close()
@@ -106,8 +103,8 @@ def cmd_spectrum(args) -> int:
     spec = spectrum.full_spectrum(config, k_max)
     entries = spec.entries if args.count is None else spec.entries[: args.count]
     if args.format == "csv":
-        rows = [[s.kind, _fmt(s.k / math.pi), _fmt(s.energy), _fmt(s.residual)] for s in entries]
-        _write_csv(args.out, SPECTRUM_HEADER, rows)
+        lines = ["%s,%.12g,%.12g,%.12g\n" % (s.kind, s.k / math.pi, s.energy, s.residual) for s in entries]
+        _write_csv(args.out, SPECTRUM_HEADER, lines)
     else:
         report = RunReport(
             schema=SCHEMA_VERSION,
@@ -133,16 +130,18 @@ def cmd_dispersion_curve(args) -> int:
         rho = float(args.rho)
         if not 0.0 < rho < 1.0:
             raise PositionOutOfRange(f"--rho {args.rho} must lie strictly inside (0, 1)")
+    if not (math.isfinite(args.kmax) and args.kmax >= 0.0):
+        raise ValueError(f"--kmax must be non-negative and finite, got {args.kmax}")
     if args.samples_per_pi < 1:
         raise ValueError(f"--samples-per-pi must be positive, got {args.samples_per_pi}")
     n_samples = int(round(args.kmax * args.samples_per_pi))
     k_over_pi = np.arange(n_samples + 1) / args.samples_per_pi
     vals = spectrum.rhs_positive(k_over_pi * math.pi, rho)
-    rows = [
-        [_fmt(k), "", "1"] if math.isnan(v) else [_fmt(k), _fmt(v), "0"]
+    lines = [
+        "%.12g,,1\n" % k if math.isnan(v) else "%.12g,%.12g,0\n" % (k, v)
         for k, v in zip(k_over_pi.tolist(), vals.tolist())
     ]
-    _write_csv(args.out, DISPERSION_HEADER, rows)
+    _write_csv(args.out, DISPERSION_HEADER, lines)
     return EXIT_OK
 
 
@@ -155,8 +154,8 @@ def cmd_sweep_ground(args) -> int:
     e_over_eb = spectrum.ground_states(rhos, f) * f * f  # one row of rho steps per (f, sign)
     results = [(f_mag, sign, rho, e) for (f_mag, sign), row in zip(blocks, e_over_eb.tolist()) for rho, e in zip(rhos, row)]
     results.sort(key=lambda r: r[:3])
-    rows = [[_fmt(f_mag), sign, _fmt(rho), _fmt(e)] for f_mag, sign, rho, e in results]
-    _write_csv(args.out, SWEEP_HEADER, rows)
+    lines = ["%.12g,%s,%.12g,%.12g\n" % r for r in results]
+    _write_csv(args.out, SWEEP_HEADER, lines)
     return EXIT_OK
 
 

@@ -475,8 +475,8 @@ def full_spectrum(config: DimensionlessConfig, k_max: float = DEFAULT_K_MAX) -> 
     below k_max, which is the rule sign g(k_max) != (-1)^M for the partial
     interval (M pi, k_max].
     """
-    if not k_max >= 0.0:
-        raise ValueError(f"k_max must be non-negative, got {k_max}")
+    if not (math.isfinite(k_max) and k_max >= 0.0):
+        raise ValueError(f"k_max must be non-negative and finite, got {k_max}")
     rho, f = config.rho, config.f
     fc = _threshold_coupling(rho)
     t_est = float(_series_root(rho, f)) if f > 0.0 else math.nan  # no series root for f < 0

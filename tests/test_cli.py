@@ -15,6 +15,69 @@ from wellspec.cli import RunReport, main
 from wellspec.errors import SolverFailure
 
 
+# Output bytes frozen before the CSV writer was rewritten; the rewrite must reproduce them exactly.
+# The dispersion curve has pole rows and the removable point at kL/pi = 5, the spectrum a nodal row.
+GOLDEN_DISPERSION = (
+    b"kL_over_pi,rhs,is_pole\n"
+    b"0,0,0\n"
+    b"0.25,0.396802246667,0\n"
+    b"0.5,0.951056516295,0\n"
+    b"0.75,2.26007351067,0\n"
+    b"1,,1\n"
+    b"1.25,-2,0\n"
+    b"1.5,-0.587785252292,0\n"
+    b"1.75,0.35796047808,0\n"
+    b"2,,1\n"
+    b"2.25,-0.778768257918,0\n"
+    b"2.5,-2.44929359829e-16,0\n"
+    b"2.75,0.778768257918,0\n"
+    b"3,,1\n"
+    b"3.25,-0.35796047808,0\n"
+    b"3.5,0.587785252292,0\n"
+    b"3.75,2,0\n"
+    b"4,,1\n"
+    b"4.25,-2.26007351067,0\n"
+    b"4.5,-0.951056516295,0\n"
+    b"4.75,-0.396802246667,0\n"
+    b"5,-5.87830463591e-16,0\n"
+)
+
+GOLDEN_SWEEP = (
+    b"f,sign,rho,E_over_EB\n"
+    b"0.1,attract,0.005,0.0985864841609\n"
+    b"0.1,attract,0.2525,-0.986788251262\n"
+    b"0.1,attract,0.5,-0.999818251689\n"
+    b"0.1,attract,0.7475,-0.986788251262\n"
+    b"0.1,attract,0.995,0.0985864841609\n"
+    b"0.1,repel,0.005,0.0987858227871\n"
+    b"0.1,repel,0.2525,0.157573172831\n"
+    b"0.1,repel,0.5,0.281676965233\n"
+    b"0.1,repel,0.7475,0.157573172831\n"
+    b"0.1,repel,0.995,0.0987858227871\n"
+    b"0.4,attract,0.005,1.57873191019\n"
+    b"0.4,attract,0.2525,0.139450196402\n"
+    b"0.4,attract,0.5,-0.504684902118\n"
+    b"0.4,attract,0.7475,0.139450196402\n"
+    b"0.4,attract,0.995,1.57873191019\n"
+    b"0.4,repel,0.005,1.57952189977\n"
+    b"0.4,repel,0.2525,2.09757429569\n"
+    b"0.4,repel,0.5,2.83956382646\n"
+    b"0.4,repel,0.7475,2.09757429569\n"
+    b"0.4,repel,0.995,1.57952189977\n"
+)
+
+GOLDEN_SPECTRUM = (
+    b"kind,k_over_pi,energy,residual\n"
+    b"ordinary_negative,31.8309886184,-10000,0\n"
+    b"ordinary_positive,1.68044873066,27.8708541971,6.24500451352e-17\n"
+    b"ordinary_positive,2.53155311402,63.2519374402,2.35922392733e-16\n"
+    b"ordinary_positive,3.36212968705,111.565179425,7.07767178199e-16\n"
+    b"nodal,5,246.740110027,0\n"
+    b"ordinary_positive,5.10542771144,257.255108751,2.22044604925e-16\n"
+    b"ordinary_positive,6.71879948921,445.536312876,1.74860126378e-15\n"
+)
+
+
 def _read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -40,6 +103,25 @@ class TestCsvSchemas:
         out = tmp_path / "spec.csv"
         assert main(["spectrum", "--rho", "1/2", "--f", "-0.2", "--kmax", "6", "--out", str(out)]) == 0
         assert _read_rows(out)[0] == ["kind", "k_over_pi", "energy", "residual"]
+
+
+class TestGoldenBytes:
+    CASES = [
+        (["dispersion-curve", "--rho", "2/5", "--kmax", "5", "--samples-per-pi", "4"], GOLDEN_DISPERSION),
+        (["sweep-ground", "--f-list", "0.1,0.4", "--signs", "both", "--rho-steps", "5"], GOLDEN_SWEEP),
+        (["spectrum", "--rho", "2/5", "--f", "0.01", "--kmax", "7"], GOLDEN_SPECTRUM),
+    ]
+
+    @pytest.mark.parametrize("argv, golden", CASES, ids=["dispersion-curve", "sweep-ground", "spectrum"])
+    def test_stdout_bytes(self, argv, golden, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode() == golden
+
+    @pytest.mark.parametrize("argv, golden", CASES, ids=["dispersion-curve", "sweep-ground", "spectrum"])
+    def test_out_file_bytes(self, argv, golden, tmp_path):
+        out = tmp_path / "golden.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == golden
 
 
 class TestDeterminism:
@@ -110,6 +192,18 @@ class TestExitCodes:
         assert main([command, "--rho-real", "0.3", "--f", "0.1", "--kmax", "-1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "k_max must be non-negative" in captured.err
+
+    @pytest.mark.parametrize("command", ["spectrum", "check"])
+    def test_non_finite_kmax_is_usage_error(self, command, capsys):
+        assert main([command, "--rho-real", "0.3", "--f", "0.1", "--kmax", "inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "k_max must be non-negative and finite, got inf" in captured.err
+
+    @pytest.mark.parametrize("kmax", ["inf", "-inf", "nan", "-1"])
+    def test_dispersion_curve_kmax_outside_range_is_usage_error(self, kmax, capsys):
+        assert main(["dispersion-curve", "--rho", "2/5", f"--kmax={kmax}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--kmax must be non-negative and finite" in captured.err
 
     @pytest.mark.parametrize("command, count", [("spectrum", "-2"), ("spectrum", "0"), ("check", "0"), ("check", "-1")])
     def test_count_below_one_is_usage_error(self, command, count, capsys):
