@@ -147,6 +147,10 @@ def cmd_dispersion_curve(args) -> int:
 
 def cmd_sweep_ground(args) -> int:
     f_list = [float(tok) for tok in args.f_list.split(",") if tok]
+    if not f_list:
+        raise ValueError(f"--f-list must name at least one coupling, got {args.f_list!r}")
+    if args.rho_steps < 1:
+        raise ValueError(f"--rho-steps must be at least 1, got {args.rho_steps}")
     signs = ["attract", "repel"] if args.signs == "both" else [args.signs]
     rhos = np.linspace(0.005, 0.995, args.rho_steps).tolist()
     blocks = [(f_mag, sign) for f_mag in f_list for sign in signs]

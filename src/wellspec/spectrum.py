@@ -31,6 +31,7 @@ DEFAULT_K_MAX = 20.0 * math.pi
 _EPS = 2.220446049250313e-16
 _RESIDUAL_TOL = 1e-10  # a root's |g| may be at most this times max(1, |f| kL)
 _MAX_PASSES = 240  # cap on the passes of one solve, and on the bisection steps of its fallback
+_POLE_EPS = 1e-9  # rhs_positive: |sin kL| below this is a pole, or a removable point where the numerator is too
 
 
 class EigenState(NamedTuple):
@@ -70,7 +71,7 @@ def _residual(kL, rho, f):
     return f * kL * np.sin(kL) - 2.0 * np.sin(kL * rho) * np.sin(kL * (1.0 - rho))
 
 
-def rhs_positive(kL, rho: float, pole_eps: float = 1e-9):
+def rhs_positive(kL, rho: float):
     """Ratio form 2 sin(kL rho) sin(kL (1-rho)) / sin(kL), at one kL or an array of them.
 
     NaN marks a genuine pole, where sin(kL) vanishes without the numerator;
@@ -83,7 +84,7 @@ def rhs_positive(kL, rho: float, pole_eps: float = 1e-9):
         rho * np.cos(kL * rho) * np.sin(kL * (1.0 - rho)) + (1.0 - rho) * np.sin(kL * rho) * np.cos(kL * (1.0 - rho))
     )
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(np.abs(s) < pole_eps, np.where(np.abs(num) < pole_eps, dnum / np.cos(kL), np.nan), num / s)
+        out = np.where(np.abs(s) < _POLE_EPS, np.where(np.abs(num) < _POLE_EPS, dnum / np.cos(kL), np.nan), num / s)
     return out if out.ndim else float(out)
 
 
@@ -272,32 +273,33 @@ def _threshold_coupling(rho: float) -> float:
     return 2.0 * rho * (1.0 - rho)
 
 
-def _quartic_coeff(rho: float, f: float) -> float:
-    """Coefficient c4 in g(t) = (f - fc) t^2 - c4 t^4 + O(t^6) near t = 0."""
-    return f / 6.0 - rho * (1.0 - rho) * (rho * rho + (1.0 - rho) * (1.0 - rho)) / 3.0
+def _lowest_start(rho, f):
+    """First iterate of the lowest level of a coupling f > 0: kappaL of the bound root below fc, kL above it.
 
-
-def _series_root(rho, f):
-    """The root sqrt(|f - fc| / c4) of g's series (f - fc) t^2 - c4 t^4 where it is used; NaN elsewhere.
-
-    Within 1e-10 below the threshold fc it is the bound root, and within
-    1e-10 above it the lowest positive root: g and the bound form are below
-    their rounding error there, so the series root is sharper.  Further above
-    fc, while it lies below 0.5, it narrows the bracket of that root.  Takes
-    scalars and arrays alike.
+    R(E) = 2 sin(k rho) sin(k (1 - rho)) / (k sin k), k = sqrt(E), is the sum
+    of 4 sin^2(m pi rho) / ((m pi)^2 - E) over m >= 1, so it is increasing
+    and convex below pi^2, with R(0) = fc and R'(0) = fc^2 / 6.  Above fc,
+    f = R(E) gives the first-order root kL = sqrt(6 |r| / fc), with
+    r = (fc - f) / fc.  Below fc, f = R(-t^2) = rhs_negative(t) / t puts the
+    bound root t between that first-order root and 1/f, as
+    rhs_negative < 1.  The model fc (1 + t/6) / (1 + t/6 + fc t^2 / 6) of
+    R(-t^2), exact to first order at t = 0 and tending to 1/t, gives
+    t = (r + sqrt(r^2 + 24 f r)) / (2 f), which tends to each bound at its
+    end.  No term cancels next to a wall, where fc tends to 0.  Takes
+    scalars and arrays alike; other f give NaN or a meaningless start.
     """
-    fc, c4 = _threshold_coupling(rho), _quartic_coeff(rho, f)
-    with np.errstate(divide="ignore", invalid="ignore"):  # NaN where c4 <= 0, and at f = inf
-        t = np.sqrt(np.abs(f - fc) / c4)
-    below = (f > 0.0) & (f < fc) & (fc - f <= 1e-10)
-    return np.where((c4 > 0.0) & (below | (f > fc) & (t < 0.5)), t, np.nan)
+    fc = _threshold_coupling(rho)
+    r = (fc - f) / fc
+    with np.errstate(invalid="ignore", over="ignore"):  # in the branch np.where drops
+        return np.where(r > 0.0, (r + np.sqrt(r * r + 24.0 * f * r)) / (2.0 * f), np.sqrt(-6.0 * r / fc))
 
 
 def _table_residual(rho, f, bound: int, interlacing: int, centers=None, config: DimensionlessConfig | None = None):
     """The ``fn(x, idx)`` of ``solve_brackets`` for a table of brackets, each solved in the form its number picks.
 
     Brackets [0, bound) hold the bound form f t - rhs_negative(t), the next
-    ``interlacing`` hold g, and the rest the deflated form G(d) beside the
+    ``interlacing`` hold g on intervals (m pi, (m+1) pi), m >= 0, between
+    free-well levels, and the rest the deflated form G(d) beside the
     decoupled levels centers[i] pi of ``config``.  ``rho`` and ``f`` are
     scalars, or arrays with one entry per bracket of the first two forms.
     """
@@ -378,17 +380,15 @@ def ground_states(rho, f) -> np.ndarray:
     * 0 < f < fc (fc = 2 rho (1 - rho)): the bound root of f t - rhs_negative(t)
       on (1e-9, 4 max(1, 1/f)), lower sign -1;
     * f == fc: the marginal zero;
-    * f > fc: g on (0, pi), lower sign +1, or on the narrowed bracket
-      (t/4, min(4 t, 0.9 pi)) of a ``_series_root`` t;
+    * f > fc: g on (0, pi), lower sign +1;
     * f < 0: g on (pi, 2 pi), lower sign -1, also where 2 pi is decoupled
       and ``full_spectrum`` takes the deflated form;
-    * within 1e-10 of fc: the ``_series_root`` itself;
     * level 1 ``decoupled`` and no root below it: the level pi itself.
 
     Every bracket is solved by one ``solve_brackets`` call, and every root
-    carries the residual certificate of its form.  The g brackets (0, pi)
-    and (pi, 2 pi) start at the weak-coupling root beside level 1; the bound
-    and narrowed brackets start at their midpoints.
+    carries the residual certificate of its form.  The bound bracket starts
+    at ``_lowest_start``, (0, pi) at the lesser of it and the weak-coupling
+    root beside level 1, and (pi, 2 pi) at that weak root.
     """
     rho, f = np.broadcast_arrays(np.asarray(rho, dtype=float), np.asarray(f, dtype=float))
     shape = rho.shape
@@ -399,25 +399,18 @@ def ground_states(rho, f) -> np.ndarray:
     if np.any((f == 0.0) | np.isnan(f)):
         raise ValueError("coupling f must be a nonzero real")
     fc = _threshold_coupling(rho)
-    t_est = _series_root(rho, f)
-    series = ~np.isnan(t_est)
-    closed = series & (np.abs(f - fc) <= 1e-10)
     u1 = np.sin(np.pi * rho)  # the weight of level 1
-    at_pi = decoupled(u1, f, 1) & ((f > fc) & ~series | (f < 0.0))
-    b = np.flatnonzero((f > 0.0) & (f < fc) & ~series)
-    s = np.flatnonzero((f > fc) & series & ~closed)
-    u = np.flatnonzero((f > fc) & ~series & ~at_pi)
+    at_pi = decoupled(u1, f, 1) & ((f > fc) | (f < 0.0))
+    b = np.flatnonzero((f > 0.0) & (f < fc))
+    u = np.flatnonzero((f > fc) & ~at_pi)
     r = np.flatnonzero((f < 0.0) & ~at_pi)
 
-    points = np.concatenate((b, s, u, r))
-    lo = np.concatenate((np.full(b.size, 1e-9), 0.25 * t_est[s], np.zeros(u.size), np.full(r.size, math.pi)))
-    hi = np.concatenate(
-        (4.0 * np.maximum(1.0, 1.0 / f[b]), np.minimum(4.0 * t_est[s], 0.9 * math.pi),
-         np.full(u.size, math.pi), np.full(r.size, 2.0 * math.pi))
-    )
-    sign = np.concatenate((np.full(b.size, -1.0), np.ones(s.size + u.size), np.full(r.size, -1.0)))
-    beside = points[b.size + s.size :]  # (0, pi) and (pi, 2 pi), each root beside level 1
-    x0 = np.concatenate((np.full(b.size + s.size, math.nan), _weak_root(1, u1[beside], f[beside])))
+    points = np.concatenate((b, u, r))
+    lo = np.concatenate((np.full(b.size, 1e-9), np.zeros(u.size), np.full(r.size, math.pi)))
+    hi = np.concatenate((4.0 * np.maximum(1.0, 1.0 / f[b]), np.full(u.size, math.pi), np.full(r.size, 2.0 * math.pi)))
+    sign = np.concatenate((np.full(b.size, -1.0), np.ones(u.size), np.full(r.size, -1.0)))
+    start, weak = _lowest_start(rho, f), _weak_root(1, u1, f)
+    x0 = np.concatenate((start[b], np.minimum(start[u], weak[u]), weak[r]))
     residual = _table_residual(rho[points], f[points], b.size, points.size - b.size)
     roots = solve_brackets(residual, lo, hi, sign, x0)
 
@@ -427,15 +420,11 @@ def ground_states(rho, f) -> np.ndarray:
     if bad.size:
         i = bad[0]
         raise SolverFailure(f"negative root residual {res[i]:.3e}", (lo[i], hi[i]))
-    c = np.flatnonzero(closed & (f > fc))
-    pos = np.concatenate((points[b.size :], c))
-    k = np.concatenate((roots[b.size :], t_est[c]))
+    pos, k = points[b.size :], roots[b.size :]
     _certify(k, rho[pos], f[pos])
 
     energy = np.zeros(rho.size)  # the marginal zero stays where f == fc
     energy[b] = -t * t
-    near = closed & (f < fc)
-    energy[near] = -t_est[near] * t_est[near]
     energy[pos] = k * k
     energy[at_pi] = math.pi * math.pi
     return energy.reshape(shape)
@@ -450,9 +439,7 @@ def full_spectrum(config: DimensionlessConfig, k_max: float = DEFAULT_K_MAX) -> 
 
     * each interval (m pi, (m+1) pi), m >= 1, holds exactly one root of g,
       with g of sign (-1)^m just above m pi;
-    * (0, pi) holds one only above the binding threshold fc = 2 rho (1 - rho),
-      narrowed to (t/4, min(4 t, 0.9 pi)) about a ``_series_root`` t, as g is
-      below its rounding error on most of (0, pi) near the threshold;
+    * (0, pi) holds one only above the binding threshold fc = 2 rho (1 - rho);
     * below the threshold, 0 < f < fc, the bound root of f t - rhs_negative(t)
       lies in (1e-9, 4 max(1, 1/f)), where the form has lower sign -1;
     * at the threshold, f == fc, the bound root is kappaL = 0 itself: the
@@ -464,32 +451,28 @@ def full_spectrum(config: DimensionlessConfig, k_max: float = DEFAULT_K_MAX) -> 
       ``_deflated_residual``; a run from level 1 gets one only if (0, pi)
       holds a level.
 
-    Within 1e-10 of the threshold the root nearest zero energy is the series
-    root itself.  ``solve_brackets`` solves the whole table in one call, with
-    endpoint signs from this count rather than from g at a rounded multiple
-    of pi, and each root is certified in its own form.  Each interval
+    ``solve_brackets`` solves the whole table in one call, with endpoint
+    signs from this count rather than from g at a rounded multiple of pi,
+    and each root is certified in its own form.  Each interval
     (m pi, (m+1) pi) starts at the ``weak_coupling_estimate`` of the level
-    its root hugs: m + 1 for f > 0 (level 1 for (0, pi)) and m for f < 0.
-    The bound, narrowed and deflated brackets start at their midpoints.  The
-    interval holding k_max is solved whole and its root kept when it lies
-    below k_max, which is the rule sign g(k_max) != (-1)^M for the partial
-    interval (M pi, k_max].
+    its root hugs: m + 1 for f > 0 and m for f < 0.  The bound bracket starts
+    at ``_lowest_start``, and so does (0, pi) where that lies below the weak
+    root: near the threshold the root lies far below level 1.  The
+    deflated brackets start at their midpoints.  The interval holding k_max
+    is solved whole and its root kept when it lies below k_max, which is the
+    rule sign g(k_max) != (-1)^M for the partial interval (M pi, k_max].
     """
     if not (math.isfinite(k_max) and k_max >= 0.0):
         raise ValueError(f"k_max must be non-negative and finite, got {k_max}")
     rho, f = config.rho, config.f
     fc = _threshold_coupling(rho)
-    t_est = float(_series_root(rho, f)) if f > 0.0 else math.nan  # no series root for f < 0
-    series = not math.isnan(t_est)
-    closed = series and abs(f - fc) <= 1e-10  # the series root is then the root itself
-    bound = int(0.0 < f < fc and not series)  # brackets of the bound form: 0 or 1
+    bound = int(0.0 < f < fc)  # brackets of the bound form: 0 or 1
     above = f > fc
-    narrowed = above and series and not closed
     top = int(k_max // math.pi)  # index of the interval holding k_max
     levels = np.arange(1, top + 2)
     dec = decoupled(coupling(config, levels), f, levels)
     coupled = np.concatenate(([True], ~dec))  # by level, from the origin
-    m = np.arange(0 if above and not series else 1, top + 1)
+    m = np.arange(0 if above else 1, top + 1)
     m = m[coupled[m] & coupled[m + 1]]  # intervals beside no decoupled level
     # a run's last level for f > 0, its first for f < 0
     edge = dec & ~(np.concatenate((dec[1:], [False])) if f > 0.0 else np.concatenate(([False], dec[:-1])))
@@ -498,23 +481,18 @@ def full_spectrum(config: DimensionlessConfig, k_max: float = DEFAULT_K_MAX) -> 
         centers = centers[1:]  # the run from level 1 has no companion
 
     side = (0.0, math.pi) if f > 0.0 else (-math.pi, 0.0)
-    lo = np.concatenate(([1e-9] * bound, [0.25 * t_est] * narrowed, m * math.pi, np.full(centers.size, side[0])))
-    hi = np.concatenate(
-        ([4.0 * max(1.0, 1.0 / f)] * bound, [min(4.0 * t_est, 0.9 * math.pi)] * narrowed,
-         (m + 1) * math.pi, np.full(centers.size, side[1]))
-    )
-    sign = np.concatenate(([-1.0] * bound, [1.0] * narrowed, 1.0 - 2.0 * (m % 2), np.ones(centers.size)))
+    lo = np.concatenate(([1e-9] * bound, m * math.pi, np.full(centers.size, side[0])))
+    hi = np.concatenate(([4.0 * max(1.0, 1.0 / f)] * bound, (m + 1) * math.pi, np.full(centers.size, side[1])))
+    sign = np.concatenate(([-1.0] * bound, 1.0 - 2.0 * (m % 2), np.ones(centers.size)))
+    start = float(_lowest_start(rho, f)) if f > 0.0 else math.nan  # used by the bound bracket and (0, pi) alone
     # the root in (m pi, (m+1) pi) hugs level m + 1 for f > 0 and level m for f < 0
-    x0 = np.concatenate(
-        ([math.nan] * (bound + narrowed), weak_coupling_estimate(m + (f > 0.0), config), np.full(centers.size, math.nan))
-    )
+    weak = weak_coupling_estimate(m + (f > 0.0), config)
+    x0 = np.concatenate(([start] * bound, np.where(m == 0, np.minimum(weak, start), weak), [math.nan] * centers.size))
     end = lo.size - centers.size
     table = _table_residual(rho, f, bound, end - bound, centers, config)
     roots = solve_brackets(table, lo, hi, sign, x0)
 
     pos = roots[bound:end]
-    if above and closed:
-        pos = np.concatenate(([t_est], pos))
     shown = levels[dec]
     if config.is_exact:
         shown = shown[shown % config.rational.n != 0]  # the rest are enumerate_nodal's
@@ -525,8 +503,8 @@ def full_spectrum(config: DimensionlessConfig, k_max: float = DEFAULT_K_MAX) -> 
     # tuple.__new__ builds the entries without the named tuple's Python-level __new__
     rows = zip(repeat(ORDINARY_POSITIVE), pos.tolist(), (pos * pos).tolist(), res.tolist(), repeat(None), repeat(None))
     entries = list(map(tuple.__new__, repeat(EigenState), rows))
-    if 0.0 < f < fc:
-        t = float(roots[0]) if bound else t_est
+    if bound:
+        t = float(roots[0])
         res = abs(negative_residual(t, config))
         if res > _RESIDUAL_TOL:
             raise SolverFailure(f"negative root residual {res:.3e}", (t, t))

@@ -36,6 +36,8 @@ from .spectrum import (
     negative_residual,
 )
 
+_CHECK_TOL = 1e-8  # build_wave refuses a residual above this, times max(1, |f| kL) for kL > 0
+
 OSCILLATORY = "oscillatory"
 EVANESCENT = "evanescent"
 NODAL_WAVE = "nodal"
@@ -122,9 +124,7 @@ def _nodal_wave(k: float, m: int, rho: float) -> PiecewiseWave:
     return PiecewiseWave(NODAL_WAVE, k, rho, amp, amp if m % 2 == 1 else -amp)
 
 
-def build_wave(
-    state: EigenState, config: DimensionlessConfig, check: bool = True, tol: float = 1e-8
-) -> PiecewiseWave:
+def build_wave(state: EigenState, config: DimensionlessConfig, check: bool = True) -> PiecewiseWave:
     """Construct the normalized wave for a certified eigenstate.
 
     Sign convention: the slope at the left wall is positive, fixing the
@@ -140,7 +140,7 @@ def build_wave(
         k = state.k
         if k == 0.0:
             raise InconsistentState("the zero-energy state is the ordinary negative one at kappaL = 0")
-        if check and abs(float(dispersion_residual(k, config))) > tol * max(1.0, abs(config.f) * k):
+        if check and abs(float(dispersion_residual(k, config))) > _CHECK_TOL * max(1.0, abs(config.f) * k):
             raise InconsistentState(f"residual certificate fails at kL={k}")
         m = round(k / math.pi)
         if k == m * math.pi and decoupled(coupling(config, m), config.f, m):
@@ -157,7 +157,7 @@ def build_wave(
 
     if state.kind == ORDINARY_NEGATIVE:
         kap = state.k
-        if check and abs(negative_residual(kap, config)) > tol:
+        if check and abs(negative_residual(kap, config)) > _CHECK_TOL:
             raise InconsistentState(f"residual certificate fails at kappaL={kap}")
         junction = 1.0 / math.sqrt(_int_ratio_ratio(kap, kap, rho) + _int_ratio_ratio(kap, kap, 1.0 - rho))
         return PiecewiseWave(EVANESCENT, kap, rho, junction, junction)

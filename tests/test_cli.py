@@ -225,6 +225,17 @@ class TestExitCodes:
         assert main(["sweep-ground", "--f-list", f_list, "--rho-steps", "5"]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(["--rho-steps", "0"], "--rho-steps"), (["--rho-steps", "-1"], "--rho-steps"),
+         (["--f-list", ","], "--f-list"), (["--f-list", ""], "--f-list")],
+    )
+    def test_empty_sweep_is_usage_error(self, argv, flag, capsys):
+        assert main(["sweep-ground", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert flag in err
+
     def test_sweep_residual_certificate_exit_3(self, monkeypatch, capsys):
         # midpoints of the brackets are no roots, so the array certificate must refuse them
         monkeypatch.setattr(wellspec.spectrum, "solve_brackets", lambda fn, lo, hi, sign, *_: 0.5 * (lo + hi))

@@ -382,8 +382,10 @@ class TestGroundState:
     # Ground-state energies at hard points, as 50-digit mpmath roots of g (or
     # of the bound form f t - rhs_negative(t)) at the same float inputs.  The
     # points lie 1e-6, 1e-8 and 5e-11 either side of the threshold fc, where
-    # the root is ill-conditioned (within 5e-11 the series root is used), at
-    # |f| = 1e-3, at the float 0.5 with 2 pi decoupled, and next to a wall.
+    # the root is ill-conditioned, also within 5e-11 of it next to a wall
+    # (rho <= 1e-3 or 0.9999), where a truncated series of g about zero energy
+    # is far off, and at |f| = 1e-3, at the float 0.5 with 2 pi decoupled, and
+    # next to a wall.
     HARD = [
         (0.13, -1e-6, "-0.0001172654872265405845130801"),
         (0.13, 1e-6, "0.00011726323904233016843907"),
@@ -403,6 +405,14 @@ class TestGroundState:
         (0.5, 1e-8, "0.0000002399999954459423047881173"),
         (0.5, -5e-11, "-1.20000009943244522275475e-9"),
         (0.5, 5e-11, "1.200000099144445175096295e-9"),
+        (1e-05, -5e-11, "-0.7885875758644165123319953631"),
+        (1e-05, 1e-11, "0.1485114823527217181576322352"),
+        (0.0001, -5e-11, "-0.007505253545601504129944756362"),
+        (0.0001, 5e-11, "0.007497749047511172533775656434"),
+        (0.001, -5e-11, "-0.00007515060200421361102250343362"),
+        (0.001, 5e-11, "0.00007514984799813640665733932136"),
+        (0.9999, -1e-11, "-0.001500450140792976710109287037"),
+        (0.9999, 1e-12, "0.0001500285039022374031542974065"),
     ]
     HARD_F = [
         (0.3, 1e-3, "-999999.9999999999583666366"),
@@ -419,8 +429,7 @@ class TestGroundState:
         fc = 2.0 * rho * (1.0 - rho)
         f = np.array([2.0 * r * (1.0 - r) + df for r, df, _ in self.HARD] + [x for _, x, _ in self.HARD_F])
         want = np.array([float(e) for _, _, e in self.HARD + self.HARD_F])
-        # the rounding of g and of f moves the root by ~eps |f| / |f - fc| relative,
-        # and the series root's truncation stays within that next to the threshold
+        # the rounding of g and of f moves the root by ~eps |f| / |f - fc| relative
         tol = 6.0 * EPS * np.maximum(1.0, np.abs(f) / np.abs(f - fc)) * np.abs(want)
         batched = ws.ground_states(rho, f)
         lowest = np.array([ws.full_spectrum(_gen(r, x), 4.0 * math.pi).entries[0].energy
@@ -721,13 +730,13 @@ class TestOneSolve:
         init = ws.DimensionlessConfig.__post_init__
         with _recorded_solves() as calls, pytest.MonkeyPatch.context() as mp:
             mp.setattr(ws.DimensionlessConfig, "__post_init__", lambda self: built.append(self) or init(self))
-            assert wellspec.cli.main(["sweep-ground", "--f-list", "0.4", "--signs", "attract"]) == 0
-        assert len(capsys.readouterr().out.splitlines()) == 1 + 199
+            assert wellspec.cli.main(["sweep-ground"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 1194
         assert len(calls) == 1
         assert built == []
-        # the points just above the threshold take the narrowed bracket (t/4, min(4 t, 0.9 pi))
-        _, lo, hi, _, _, _ = calls[0]
-        assert np.count_nonzero((lo > 1e-9) & (hi < 0.9 * math.pi)) == 4
+        # every bracket, the points next to the threshold included, is done within 10 passes
+        passes = calls[0][5]
+        assert passes.max() <= 10
 
 
 class TestAsymptoticEstimators:
