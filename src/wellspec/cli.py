@@ -134,8 +134,14 @@ def cmd_dispersion_curve(args) -> int:
         raise ValueError(f"--kmax must be non-negative and finite, got {args.kmax}")
     if args.samples_per_pi < 1:
         raise ValueError(f"--samples-per-pi must be positive, got {args.samples_per_pi}")
-    n_samples = int(round(args.kmax * args.samples_per_pi))
-    k_over_pi = np.arange(n_samples + 1) / args.samples_per_pi
+    rows = int(round(args.kmax * args.samples_per_pi)) + 1
+    too_many = f"--kmax {args.kmax} at --samples-per-pi {args.samples_per_pi} asks for {rows:.3g} rows, too many"
+    if rows > np.iinfo(np.intp).max // 8:  # past this np.arange raises, or wraps the count to an empty array
+        raise ValueError(too_many)
+    try:
+        k_over_pi = np.arange(rows) / args.samples_per_pi
+    except MemoryError:
+        raise ValueError(too_many) from None
     vals = spectrum.rhs_positive(k_over_pi * math.pi, rho)
     lines = [
         "%.12g,,1\n" % k if math.isnan(v) else "%.12g,%.12g,0\n" % (k, v)

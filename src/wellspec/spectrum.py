@@ -131,7 +131,8 @@ def solve_brackets(fn, lo, hi, lo_sign, x0=math.nan) -> np.ndarray:
     scalar or one entry per bracket) is the sign of ``fn`` just inside lo[i];
     ``fn`` has the opposite sign just inside hi[i].  The given endpoints are
     never evaluated, so a bracket may end on a pole, or on a rounded multiple
-    of pi where ``fn`` rounds to the wrong sign.
+    of pi where ``fn`` rounds to the wrong sign.  An empty bracket,
+    lo[i] == hi[i], holds a root known in advance and returns lo[i].
 
     The first iterate of bracket i is ``x0[i]`` (a scalar or one entry per
     bracket) when it lies strictly inside (lo[i], hi[i]), and the midpoint
@@ -246,28 +247,6 @@ def _residual_and_slope(kL, rho, f):
     return f * kL * s - 2.0 * sa * sb, f * (s + kL * np.cos(kL)) - s + mu * np.sin(kL * mu)
 
 
-def _deflated_residual(d, center, config: DimensionlessConfig):
-    """G(d) = (-1)^c g(c pi + d) / d at a decoupled level c pi, and G'(d).
-
-    With c rho = j + e, j the nearest integer (e = 0 at a nodal multiple),
-    g(c pi + d) = (-1)^c [f (c pi + d) sin d - 2 sin a sin b], a = d rho + pi e,
-    b = d (1 - rho) - pi e.  Dividing out the zero within rounding at d = 0
-    leaves G(0) = f c pi - 2 pi e (1 - 2 rho), of the sign of f once
-    |f| c > 1.4e-8, and G(-pi) > 0 > G(pi), so the companion root lies on the
-    side of d given by the sign of f.
-    Writing P(d) = d G(d) for the bracketed form, G' = (P' - G) / d.
-    Works on scalars and arrays alike.
-    """
-    rho, f = config.rho, config.f
-    e = 0.0 if config.is_exact else math.pi * (center * rho - np.round(center * rho))
-    k = center * math.pi + d
-    a, b = d * rho + e, d * (1.0 - rho) - e
-    sd, sa, sb = np.sin(d), np.sin(a), np.sin(b)
-    value = f * k * sd / d - 2.0 * sa * sb / d
-    dp = f * (sd + k * np.cos(d)) - 2.0 * (rho * np.cos(a) * sb + (1.0 - rho) * sa * np.cos(b))
-    return value, (dp - value) / d
-
-
 def _threshold_coupling(rho: float) -> float:
     """Binding threshold 2*rho*(1-rho); a negative root exists iff 0 < f below it."""
     return 2.0 * rho * (1.0 - rho)
@@ -294,36 +273,62 @@ def _lowest_start(rho, f):
         return np.where(r > 0.0, (r + np.sqrt(r * r + 24.0 * f * r)) / (2.0 * f), np.sqrt(-6.0 * r / fc))
 
 
-def _table_residual(rho, f, bound: int, interlacing: int, centers=None, config: DimensionlessConfig | None = None):
-    """The ``fn(x, idx)`` of ``solve_brackets`` for a table of brackets, each solved in the form its number picks.
+def _brackets(rho, f, level, u):
+    """The bracket (lo, hi), lower sign and first iterate of the root each free-well level owns.
 
-    Brackets [0, bound) hold the bound form f t - rhs_negative(t), the next
-    ``interlacing`` hold g on intervals (m pi, (m+1) pi), m >= 0, between
-    free-well levels, and the rest the deflated form G(d) beside the
-    decoupled levels centers[i] pi of ``config``.  ``rho`` and ``f`` are
-    scalars, or arrays with one entry per bracket of the first two forms.
+    g is the secular function of a diagonal-plus-rank-one operator, so each
+    level l pi, of weight u = sin(l pi rho), owns one eigenvalue.  Beside a
+    coupled level m pi, g has the sign (-1)^m; beside a decoupled one, the
+    sign of f (-1)^m (k - m pi).  So g changes sign once across
+    ((l-1) pi, l pi) for f > 0 and across (l pi, (l+1) pi) for f < 0, with
+    the sign (-1)^m just above the lower end m pi, and the root of a coupled
+    level l lies there.  It starts at the weak-coupling root beside l pi.
+
+    Level 1 of a coupling f > 0 is decided here too.  Below the threshold
+    fc = 2 rho (1 - rho) it owns the bound root, of f t - rhs_negative(t) on
+    (1e-9, 4 max(1, 1/f)) with lower sign -1, started at ``_lowest_start``.
+    Above fc its root in (0, pi) starts at the lesser of that start and the
+    weak root, as near the threshold the root lies far below pi.  A level
+    whose root needs no solve gets the empty bracket lo = hi = its root: a
+    ``decoupled`` level at l pi, except level 1 below fc, and level 1 at
+    f == fc at kL = 0, the zero-energy state.  ``rho``, ``f``, ``level`` and
+    ``u`` broadcast together.
     """
-    end = bound + interlacing
-    cuts = np.array((bound, end))
+    fc = _threshold_coupling(rho)
+    below = level - (f > 0.0)  # the free-well level at the lower end
+    first = below == 0  # level 1 of f > 0
+    binds = first & (f < fc)
+    zero = first & (f == fc)
+    lo = np.where(binds, 1e-9, below * math.pi)
+    hi = np.where(binds, 4.0 * np.maximum(1.0, 1.0 / f), (below + 1) * math.pi)
+    sign = np.where(binds, -1.0, 1.0 - 2.0 * (below % 2))
+    start, weak = _lowest_start(rho, f), _weak_root(level, u, f)
+    x0 = np.where(binds, start, np.where(first, np.minimum(start, weak), weak))
+    known = zero | decoupled(u, f, level) & ~binds
+    root = np.where(zero, 0.0, level * math.pi)
+    return np.where(known, root, lo), np.where(known, root, hi), sign, x0
+
+
+def _table_residual(rho, f, bound: int):
+    """The ``fn(x, idx)`` of ``solve_brackets`` for a table of brackets: the bound form, then g.
+
+    Brackets [0, bound) hold the bound form f t - rhs_negative(t), the rest
+    g.  ``rho`` and ``f`` are scalars, or arrays with one entry per bracket.
+    """
     pick = (lambda a, j: a[j]) if np.ndim(f) else (lambda a, j: a)
     g = lambda x, idx: _residual_and_slope(x, pick(rho, idx), pick(f, idx))
-    if not bound and (centers is None or not centers.size):
+    if not bound:
         return g
 
     def fn(x, idx):
-        # idx is ascending, so the brackets of each form come in one run
-        n, m = idx.searchsorted(cuts)
-        if n == 0 and m == x.size:  # g alone, as in the passes after the other forms are solved
+        n = idx.searchsorted(bound)  # idx is ascending, so the bound brackets come first
+        if n == 0:  # g alone, as in the passes after the bound brackets are solved
             return g(x, idx)
         out, slope = np.empty(x.size), np.empty(x.size)
-        if n:
-            j = idx[:n]
-            rhs, drhs = _rhs_negative_and_slope(x[:n], pick(rho, j))
-            out[:n], slope[:n] = pick(f, j) * x[:n] - rhs, pick(f, j) - drhs
-        if m > n:
-            out[n:m], slope[n:m] = g(x[n:m], idx[n:m])
-        if m < x.size:
-            out[m:], slope[m:] = _deflated_residual(x[m:], centers[idx[m:] - end], config)
+        j = idx[:n]
+        rhs, drhs = _rhs_negative_and_slope(x[:n], pick(rho, j))
+        out[:n], slope[:n] = pick(f, j) * x[:n] - rhs, pick(f, j) - drhs
+        out[n:], slope[n:] = g(x[n:], idx[n:])
         return out, slope
 
     return fn
@@ -352,12 +357,20 @@ def coupling(config: DimensionlessConfig, m):
 
 
 def decoupled(u, f, m):
-    """True where the level m pi of weight u is decoupled: g(m pi) = 2 (-1)^m u^2 is below rounding.
+    """True where the level m pi of weight u is decoupled: its root is m pi to within the rounding of g.
 
-    The floor (|f| m pi + 2) eps is the deflation criterion of Gu and
-    Eisenstat for rank-one updates.  Takes scalars and arrays alike.
+    At k = fl(m pi) = m pi + delta, |delta| <= m pi eps / 2, the computed g is
+    2 (-1)^m u^2 + g'(m pi) delta plus rounding, and |g'(m pi)| <= |f| m pi
+    + 2 |u|, since g' = f (sin k + k cos k) - sin k + mu sin(k mu) with
+    mu = 1 - 2 rho.  So the sign of g beside m pi carries no information once
+    u^2 <= (|f| m pi + 2 |u|) m pi eps / 4, and the level's root is m pi to
+    within rounding: the deflation criterion of Gu and Eisenstat for rank-one
+    updates (SIAM J. Matrix Anal. Appl. 16, 1995).  Both terms scale with the
+    level's own weight and slope, so a weight next to a wall, where every
+    term of g is small, is not taken for zero.  Takes scalars and arrays alike.
     """
-    return u * u <= (abs(f) * m * math.pi + 2.0) * _EPS
+    k = m * math.pi
+    return u * u <= 0.25 * (abs(f) * k + 2.0 * abs(u)) * k * _EPS
 
 
 def enumerate_nodal(pos: RationalPosition, k_max: float) -> list[EigenState]:
@@ -375,20 +388,12 @@ def ground_states(rho, f) -> np.ndarray:
     """Ground-state energies of the generic configurations (rho[i], f[i]), solved together.
 
     ``rho`` and ``f`` broadcast together; the energies come back in their
-    shape.  Each point gets the lowest bracket of ``full_spectrum``:
-
-    * 0 < f < fc (fc = 2 rho (1 - rho)): the bound root of f t - rhs_negative(t)
-      on (1e-9, 4 max(1, 1/f)), lower sign -1;
-    * f == fc: the marginal zero;
-    * f > fc: g on (0, pi), lower sign +1;
-    * f < 0: g on (pi, 2 pi), lower sign -1, also where 2 pi is decoupled
-      and ``full_spectrum`` takes the deflated form;
-    * level 1 ``decoupled`` and no root below it: the level pi itself.
-
+    shape.  Each point's level 1 gets its bracket from ``_brackets``, as in
+    ``full_spectrum``: the bound root for 0 < f < fc (fc = 2 rho (1 - rho)),
+    the zero-energy state at f == fc, the root in (0, pi) above fc and in
+    (pi, 2 pi) for f < 0, or pi itself where level 1 is ``decoupled``.
     Every bracket is solved by one ``solve_brackets`` call, and every root
-    carries the residual certificate of its form.  The bound bracket starts
-    at ``_lowest_start``, (0, pi) at the lesser of it and the weak-coupling
-    root beside level 1, and (pi, 2 pi) at that weak root.
+    carries the residual certificate of its form.
     """
     rho, f = np.broadcast_arrays(np.asarray(rho, dtype=float), np.asarray(f, dtype=float))
     shape = rho.shape
@@ -398,106 +403,53 @@ def ground_states(rho, f) -> np.ndarray:
         raise PositionOutOfRange(f"rho={rho[outside][0]} must lie strictly inside (0, 1)")
     if np.any((f == 0.0) | np.isnan(f)):
         raise ValueError("coupling f must be a nonzero real")
-    fc = _threshold_coupling(rho)
-    u1 = np.sin(np.pi * rho)  # the weight of level 1
-    at_pi = decoupled(u1, f, 1) & ((f > fc) | (f < 0.0))
-    b = np.flatnonzero((f > 0.0) & (f < fc))
-    u = np.flatnonzero((f > fc) & ~at_pi)
-    r = np.flatnonzero((f < 0.0) & ~at_pi)
-
-    points = np.concatenate((b, u, r))
-    lo = np.concatenate((np.full(b.size, 1e-9), np.zeros(u.size), np.full(r.size, math.pi)))
-    hi = np.concatenate((4.0 * np.maximum(1.0, 1.0 / f[b]), np.full(u.size, math.pi), np.full(r.size, 2.0 * math.pi)))
-    sign = np.concatenate((np.full(b.size, -1.0), np.ones(u.size), np.full(r.size, -1.0)))
-    start, weak = _lowest_start(rho, f), _weak_root(1, u1, f)
-    x0 = np.concatenate((start[b], np.minimum(start[u], weak[u]), weak[r]))
-    residual = _table_residual(rho[points], f[points], b.size, points.size - b.size)
+    binds = (f > 0.0) & (f < _threshold_coupling(rho))
+    points = np.concatenate((np.flatnonzero(binds), np.flatnonzero(~binds)))  # the bound brackets lead the table
+    rho, f, bound = rho[points], f[points], np.count_nonzero(binds)
+    residual = _table_residual(rho, f, bound)
+    lo, hi, sign, x0 = _brackets(rho, f, 1, np.sin(np.pi * rho))
     roots = solve_brackets(residual, lo, hi, sign, x0)
 
-    t = roots[: b.size]
-    res = np.abs(residual(t, np.arange(b.size))[0])
+    t, k = roots[:bound], roots[bound:]
+    res = np.abs(residual(t, np.arange(bound))[0])
     bad = np.flatnonzero(res > _RESIDUAL_TOL)
     if bad.size:
         i = bad[0]
         raise SolverFailure(f"negative root residual {res[i]:.3e}", (lo[i], hi[i]))
-    pos, k = points[b.size :], roots[b.size :]
-    _certify(k, rho[pos], f[pos])
+    _certify(k, rho[bound:], f[bound:])
 
-    energy = np.zeros(rho.size)  # the marginal zero stays where f == fc
-    energy[b] = -t * t
-    energy[pos] = k * k
-    energy[at_pi] = math.pi * math.pi
+    energy = np.empty(points.size)
+    energy[points] = np.concatenate((-t * t, k * k))
     return energy.reshape(shape)
 
 
 def full_spectrum(config: DimensionlessConfig, k_max: float = DEFAULT_K_MAX) -> Spectrum:
     """Every level in (-inf, k_max^2], energy-sorted, from one table of brackets and one solve.
 
-    g is the secular function of a diagonal-plus-rank-one operator, and
-    g(m pi) = 2 (-1)^m sin^2(m pi rho), so its roots interlace the free-well
-    levels m pi.  The table holds one bracket per root:
-
-    * each interval (m pi, (m+1) pi), m >= 1, holds exactly one root of g,
-      with g of sign (-1)^m just above m pi;
-    * (0, pi) holds one only above the binding threshold fc = 2 rho (1 - rho);
-    * below the threshold, 0 < f < fc, the bound root of f t - rhs_negative(t)
-      lies in (1e-9, 4 max(1, 1/f)), where the form has lower sign -1;
-    * at the threshold, f == fc, the bound root is kappaL = 0 itself: the
-      zero-energy state, emitted as an ordinary negative entry of energy +0.0;
-    * a ``decoupled`` level is a root at m pi itself, reported here unless it
-      is a nodal state from ``enumerate_nodal``.  The intervals beside a run
-      of them merge into one bracket holding one companion, past the run's end
-      on the side of the sign of f, solved in the deflated form
-      ``_deflated_residual``; a run from level 1 gets one only if (0, pi)
-      holds a level.
-
-    ``solve_brackets`` solves the whole table in one call, with endpoint
-    signs from this count rather than from g at a rounded multiple of pi,
-    and each root is certified in its own form.  Each interval
-    (m pi, (m+1) pi) starts at the ``weak_coupling_estimate`` of the level
-    its root hugs: m + 1 for f > 0 and m for f < 0.  The bound bracket starts
-    at ``_lowest_start``, and so does (0, pi) where that lies below the weak
-    root: near the threshold the root lies far below level 1.  The
-    deflated brackets start at their midpoints.  The interval holding k_max
-    is solved whole and its root kept when it lies below k_max, which is the
-    rule sign g(k_max) != (-1)^M for the partial interval (M pi, k_max].
+    Each free-well level l pi owns one root, and ``_brackets`` gives its
+    bracket: in ((l-1) pi, l pi) for f > 0 and in (l pi, (l+1) pi) for
+    f < 0, the bound root or the zero-energy state for level 1 of
+    0 < f <= fc (fc = 2 rho (1 - rho)), and l pi itself for a ``decoupled``
+    level.  The table holds levels 1 to M + 1 for f > 0 and 1 to M for
+    f < 0, M pi <= k_max < (M + 1) pi, and a root is kept when it lies below
+    k_max; the nodal levels of an exact position come from
+    ``enumerate_nodal`` instead.  ``solve_brackets`` solves the whole table in
+    one call, with endpoint signs from the interlacing count rather than
+    from g at a rounded multiple of pi, and each root is certified in its
+    own form.  The roots come out in level order, which is energy order.
     """
     if not (math.isfinite(k_max) and k_max >= 0.0):
         raise ValueError(f"k_max must be non-negative and finite, got {k_max}")
     rho, f = config.rho, config.f
     fc = _threshold_coupling(rho)
-    bound = int(0.0 < f < fc)  # brackets of the bound form: 0 or 1
-    above = f > fc
-    top = int(k_max // math.pi)  # index of the interval holding k_max
-    levels = np.arange(1, top + 2)
-    dec = decoupled(coupling(config, levels), f, levels)
-    coupled = np.concatenate(([True], ~dec))  # by level, from the origin
-    m = np.arange(0 if above else 1, top + 1)
-    m = m[coupled[m] & coupled[m + 1]]  # intervals beside no decoupled level
-    # a run's last level for f > 0, its first for f < 0
-    edge = dec & ~(np.concatenate((dec[1:], [False])) if f > 0.0 else np.concatenate(([False], dec[:-1])))
-    centers = levels[edge].astype(float)
-    if dec[0] and not above:
-        centers = centers[1:]  # the run from level 1 has no companion
-
-    side = (0.0, math.pi) if f > 0.0 else (-math.pi, 0.0)
-    lo = np.concatenate(([1e-9] * bound, m * math.pi, np.full(centers.size, side[0])))
-    hi = np.concatenate(([4.0 * max(1.0, 1.0 / f)] * bound, (m + 1) * math.pi, np.full(centers.size, side[1])))
-    sign = np.concatenate(([-1.0] * bound, 1.0 - 2.0 * (m % 2), np.ones(centers.size)))
-    start = float(_lowest_start(rho, f)) if f > 0.0 else math.nan  # used by the bound bracket and (0, pi) alone
-    # the root in (m pi, (m+1) pi) hugs level m + 1 for f > 0 and level m for f < 0
-    weak = weak_coupling_estimate(m + (f > 0.0), config)
-    x0 = np.concatenate(([start] * bound, np.where(m == 0, np.minimum(weak, start), weak), [math.nan] * centers.size))
-    end = lo.size - centers.size
-    table = _table_residual(rho, f, bound, end - bound, centers, config)
-    roots = solve_brackets(table, lo, hi, sign, x0)
-
-    pos = roots[bound:end]
-    shown = levels[dec]
+    bound = int(0.0 < f < fc)  # the bound bracket: 0 or 1
+    levels = np.arange(1, int(k_max // math.pi) + 1 + (f > 0.0))
     if config.is_exact:
-        shown = shown[shown % config.rational.n != 0]  # the rest are enumerate_nodal's
-    if centers.size or shown.size:
-        pos = np.sort(np.concatenate((pos, centers * math.pi + roots[end:], shown * math.pi)))
+        levels = levels[levels % config.rational.n != 0]  # the nodal levels are enumerate_nodal's
+    table = _table_residual(rho, f, bound)
+    roots = solve_brackets(table, *_brackets(rho, f, levels, coupling(config, levels)))
+
+    pos = roots[bound:]
     pos = pos[pos <= k_max]
     res = _certify(pos, rho, f)
     # tuple.__new__ builds the entries without the named tuple's Python-level __new__
@@ -509,9 +461,9 @@ def full_spectrum(config: DimensionlessConfig, k_max: float = DEFAULT_K_MAX) -> 
         if res > _RESIDUAL_TOL:
             raise SolverFailure(f"negative root residual {res:.3e}", (t, t))
         entries.insert(0, EigenState(ORDINARY_NEGATIVE, t, -t * t, res))
-    elif f == fc:  # the zero-energy state, the kappa -> 0 member of the bound family
-        entries.insert(0, EigenState(ORDINARY_NEGATIVE, 0.0, 0.0, 0.0))
-    if config.is_exact:  # the nodal levels interleave with the rest; otherwise the entries are in order
+    elif f == fc:  # level 1's root kappaL = 0: the zero-energy state, the kappa -> 0 member of the bound family
+        entries[0] = EigenState(ORDINARY_NEGATIVE, 0.0, 0.0, 0.0)
+    if config.is_exact:  # the nodal levels interleave with the rest
         entries.extend(enumerate_nodal(config.rational, k_max))
         entries.sort(key=attrgetter("energy"))
     return Spectrum(config, entries, k_max)

@@ -205,6 +205,13 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "--kmax must be non-negative and finite" in captured.err
 
+    # 2^63 / 400: np.arange wraps 2^63 + 1 samples to an empty array, which printed the header alone
+    @pytest.mark.parametrize("kmax", ["1e300", "2.305843009213694e16"])
+    def test_dispersion_curve_too_many_rows_is_usage_error(self, kmax, capsys):
+        assert main(["dispersion-curve", "--rho", "2/5", f"--kmax={kmax}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--kmax" in captured.err and "--samples-per-pi 400" in captured.err
+
     @pytest.mark.parametrize("command, count", [("spectrum", "-2"), ("spectrum", "0"), ("check", "0"), ("check", "-1")])
     def test_count_below_one_is_usage_error(self, command, count, capsys):
         assert main([command, "--rho-real", "0.3", "--f", "0.1", "--count", count]) == 2

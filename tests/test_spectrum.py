@@ -364,7 +364,9 @@ class TestGroundState:
         assert ws.ground_states(cfg.rho, cfg.f) == pytest.approx(e0.energy, rel=1e-12)
 
     def test_batched_matches_full_spectrum(self):
-        rho = np.linspace(0.005, 0.995, 199)
+        # both solve level 1's bracket from _brackets, so they agree bit for bit;
+        # the grid holds the float 0.5, whose level 2 is decoupled
+        rho = np.linspace(0.005, 0.995, 41)
         fc = 2.0 * rho * (1.0 - rho)
         # |f| = 1e-3 binds at kappa L ~ 1e3, where the sinh form of rhs_negative would overflow
         fs = [np.full(rho.size, sign * mag) for mag in np.logspace(-3.0, 2.0, 11) for sign in (1.0, -1.0)]
@@ -374,10 +376,8 @@ class TestGroundState:
         batched = ws.ground_states(rhos, f)
         lowest = np.array([ws.full_spectrum(_gen(r, x), 4.0 * math.pi).entries[0].energy
                            for r, x in zip(rhos.tolist(), f.tolist())])
-        fin = np.isfinite(f)
-        got, want = batched[fin] * f[fin] ** 2, lowest[fin] * f[fin] ** 2
-        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
-        assert np.array_equal(batched[~fin], lowest[~fin])
+        assert 0.5 in rho
+        np.testing.assert_array_equal(batched, lowest)
 
     # Ground-state energies at hard points, as 50-digit mpmath roots of g (or
     # of the bound form f t - rhs_negative(t)) at the same float inputs.  The
@@ -558,24 +558,6 @@ class TestSolveBrackets:
         assert np.all(np.abs(dg - fd) <= 1e-7 * (1.0 + np.abs(cfg.f) * k))
         np.testing.assert_array_equal(g, ws.dispersion_residual(k, cfg))
 
-    @pytest.mark.parametrize(
-        "cfg, d",
-        [(_exact(2, 5, 0.3), np.linspace(-3.0, 3.0, 200)),  # no point at d = 0, where G is 0/0
-         (_gen(0.4 + 1e-9, 0.7), np.linspace(-3.0, 3.0, 200)),  # 5 pi decoupled, 5 rho - 2 = 5e-9
-         # 5 rho - 2 = -0.4085: G has a pole of residue 2 sin^2(0.4085 pi) at 0, so stay clear of it
-         (_gen(0.3183, 0.7), np.concatenate((np.linspace(-3.0, -0.5, 100), np.linspace(0.5, 3.0, 100))))],
-        ids=["exact", "near_rational", "generic"],
-    )
-    def test_deflated_slopes_match_central_differences(self, cfg, d):
-        h = 1e-6
-        G, dG = wellspec.spectrum._deflated_residual(d, 5, cfg)
-        fd = (wellspec.spectrum._deflated_residual(d + h, 5, cfg)[0]
-              - wellspec.spectrum._deflated_residual(d - h, 5, cfg)[0]) / (2.0 * h)
-        assert np.all(np.abs(dG - fd) <= 1e-7 * (1.0 + np.abs(cfg.f) * 5.0 * math.pi))
-        # G(d) = (-1)^5 g(5 pi + d) / d at any position
-        g = ws.dispersion_residual(5.0 * math.pi + d, cfg)
-        assert np.all(np.abs(-d * G - g) <= 1e-13 * (1.0 + np.abs(cfg.f) * 5.0 * math.pi))
-
 
 class TestFullSpectrum:
     def test_center_repulsion_interleaves(self):
@@ -675,12 +657,14 @@ class TestFullSpectrum:
         assert len(spec.entries) == _interlacing_count(rho, f, k_max)
         assert all(s.kind != ws.NODAL for s in spec.entries)
 
-    @pytest.mark.parametrize("rho", [1e-10, 3e-9, 1.0 - 3e-9])
-    @pytest.mark.parametrize("f", [0.05, -0.05, 3.0, -3.0])
+    @pytest.mark.parametrize(
+        "f, rho",
+        [(f, rho) for rho in (1e-10, 3e-9, 1.0 - 3e-9) for f in (0.05, -0.05, 3.0, -3.0) if rho == 1e-10 or abs(f) == 3.0],
+    )
     def test_near_wall_run_of_decoupled_levels(self, rho, f):
         # the levels from pi up are decoupled (a run of 2 levels to all 200 below
-        # k_max); each sits at m pi, and the run gets one companion, just below
-        # the next level, for f > 0 and none for f < 0, as (0, pi) holds no level then
+        # k_max); each sits at m pi, and the first coupled level after the run
+        # owns the interval below it for f > 0 and the one above it for f < 0
         cfg, k_max = _gen(rho, f), 200.5 * math.pi
         m = np.arange(1, 201)
         dec = ws.decoupled(ws.coupling(cfg, m), f, m)
@@ -697,6 +681,74 @@ class TestFullSpectrum:
         for s in spec.entries:
             assert abs(float(ws.dispersion_residual(s.k, cfg))) <= 1e-10 * max(1.0, abs(f) * s.k)
 
+    # ((rho, f), k_max / pi, every level below k_max): 50-digit mpmath roots of
+    # g at the same float inputs (the first of the last row: of the bound form,
+    # in kappa L).  Next to a wall every term of g at pi is ~1e-17, so a
+    # deflation floor that takes them to be of order 1 reports pi, 2 pi, ...
+    # where the roots lie up to 3e5 eps away.  At 0.4 + 1e-9 the level 5 pi
+    # has a weight of 1.6e-8, and with f = 1e-9 its root lies 2.4e-8 below it.
+    NEAR_DECOUPLED = [
+        ((1e-9, 1e-6), 4.5, "3.1415926535834974616", "6.2831853071669949232", "9.4247779607504923848",
+         "12.566370614333989846"),
+        ((1e-9, 1e-4), 4.5, "3.1415926535897304054", "6.2831853071794608107", "9.4247779607691912161",
+         "12.566370614358921621"),
+        ((1e-9, 1e-2), 4.5, "3.1415926535897926101", "6.2831853071795852203", "9.4247779607693778304",
+         "12.566370614359170441"),
+        ((1e-9, -1e-6), 4.5, "3.1415926535960638825", "6.283185307192127765", "9.4247779607881916474",
+         "12.56637061438425553"),
+        ((1e-9, -1e-4), 4.5, "3.1415926535898560691", "6.2831853071797121381", "9.4247779607695682072",
+         "12.566370614359424276"),
+        ((1e-9, -1e-2), 4.5, "3.1415926535897938668", "6.2831853071795877336", "9.4247779607693816003",
+         "12.566370614359175467"),
+        ((3e-9, 1e-6), 4.5, "3.1415926535329032307", "6.2831853070658064613", "9.424777960598709692",
+         "12.566370614131612923"),
+        ((3e-9, 1e-4), 4.5, "3.1415926535892277179", "6.2831853071784554357", "9.4247779607676831536",
+         "12.566370614356910871"),
+        ((3e-9, 1e-2), 4.5, "3.1415926535897875836", "6.2831853071795751672", "9.4247779607693627508",
+         "12.566370614359150334"),
+        ((3e-9, -1e-6), 4.5, "3.1415926536460046378", "6.2831853072920092757", "9.4247779609380139135",
+         "12.566370614584018551"),
+        ((3e-9, -1e-4), 4.5, "3.1415926535903586912", "6.2831853071807173824", "9.4247779607710760736",
+         "12.566370614361434765"),
+        ((3e-9, -1e-2), 4.5, "3.1415926535897988933", "6.2831853071795977867", "9.42477796076939668",
+         "12.566370614359195573"),
+        ((6e-9, 1e-6), 4.5, "3.1415926533608512637", "6.2831853067217025274", "9.4247779600825537912",
+         "12.566370613443405055"),
+        ((6e-9, 1e-4), 4.5, "3.1415926535875310203", "6.2831853071750620406", "9.4247779607625930609",
+         "12.566370614350124081"),
+        ((6e-9, 1e-2), 4.5, "3.141592653589770619", "6.2831853071795412379", "9.4247779607693118569",
+         "12.566370614359082476"),
+        ((6e-9, -1e-6), 4.5, "3.1415926538133057593", "6.2831853076266115186", "9.4247779614399172779",
+         "12.566370615253223037"),
+        ((6e-9, -1e-4), 4.5, "3.1415926535920549138", "6.2831853071841098275", "9.4247779607761647413",
+         "12.566370614368219655"),
+        ((6e-9, -1e-2), 4.5, "3.1415926535898158579", "6.2831853071796317158", "9.4247779607694475737",
+         "12.566370614359263432"),
+        ((1.0 - 3e-9, 1e-6), 4.5, "3.1415926535329032297", "6.2831853070658064593", "9.424777960598709689",
+         "12.566370614131612919"),
+        ((1.0 - 3e-9, 1e-4), 4.5, "3.1415926535892277178", "6.2831853071784554357", "9.4247779607676831535",
+         "12.566370614356910871"),
+        ((1.0 - 3e-9, 1e-2), 4.5, "3.1415926535897875836", "6.2831853071795751672", "9.4247779607693627508",
+         "12.566370614359150334"),
+        ((1.0 - 3e-9, -1e-6), 4.5, "3.1415926536460046388", "6.2831853072920092776", "9.4247779609380139164",
+         "12.566370614584018555"),
+        ((1.0 - 3e-9, -1e-4), 4.5, "3.1415926535903586912", "6.2831853071807173824", "9.4247779607710760737",
+         "12.566370614361434765"),
+        ((1.0 - 3e-9, -1e-2), 4.5, "3.1415926535897988933", "6.2831853071795977867", "9.42477796076939668",
+         "12.566370614359195573"),
+        ((0.4 + 1e-9, 1e-9), 8.5, "999999999.99999993772", "5.2359877690729585782", "7.8539816241570050953",
+         "10.471975538145917196", "15.707963244233373559", "15.707963311299512418", "20.943951076291834234",
+         "23.561944872471015286", "26.179938845364793089"),
+    ]
+
+    @pytest.mark.parametrize("row", NEAR_DECOUPLED, ids=lambda row: repr(row[0]))
+    def test_near_decoupled_levels_match_high_precision_roots(self, row):
+        (rho, f), k_max, *want = row
+        entries = ws.full_spectrum(_gen(rho, f), k_max * math.pi).entries
+        got, want = np.array([s.k for s in entries]), np.array([float(w) for w in want])
+        assert got.size == want.size
+        assert np.all(np.abs(got - want) <= 2.0 * EPS * want)
+        assert ws.ground_states(rho, f) == entries[0].energy
 
     @pytest.mark.parametrize("k_max", [-1.0, -1e-300, math.nan])
     def test_negative_ceiling_rejected(self, k_max):
@@ -715,14 +767,20 @@ class TestFullSpectrum:
 class TestOneSolve:
     @pytest.mark.parametrize("cfg", [_exact(2, 5, 0.1), _gen(0.4, 0.1)], ids=repr)
     def test_full_spectrum_solves_its_table_once(self, cfg):
-        # a bound state, interlacing levels and the companion of the decoupled
-        # level 5 pi (nodal at 2/5, decoupled at the float 0.4): three forms
+        # a bound state, then one bracket per level: the interval below it, or
+        # the empty bracket at 5 pi and its multiples, which the float 0.4
+        # decouples (at 2/5 they are nodal and enumerate_nodal's); none merged
         with _recorded_solves() as calls:
             spec = ws.full_spectrum(cfg, 20.0 * math.pi)
         assert len(calls) == 1
         _, lo, hi, _, _, _ = calls[0]
         assert (lo[0], hi[0]) == (1e-9, 40.0)  # the bound form leads
-        assert (lo[-1], hi[-1]) == (0.0, math.pi)  # the deflated form, in d = k - 5 pi, ends the table
+        levels = np.arange(2, 22)
+        decoupled = levels % 5 == 0
+        if cfg.is_exact:
+            levels, decoupled = levels[~decoupled], decoupled[~decoupled]
+        np.testing.assert_array_equal(lo[1:], np.where(decoupled, levels, levels - 1) * math.pi)
+        np.testing.assert_array_equal(hi[1:], levels * math.pi)
         assert spec.entries[0].kind == ws.ORDINARY_NEGATIVE
 
     def test_sweep_solves_every_point_in_one_call(self, capsys):
