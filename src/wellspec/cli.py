@@ -75,20 +75,18 @@ def _parse_rho_flags(args) -> DimensionlessConfig:
     return DimensionlessConfig.generic(args.rho_real, args.f)
 
 
-def _open_out(path: str):
+def _emit(path: str, text: str) -> None:
+    """Write ``text`` to standard output for the path "-", else to the file ``path``, in one call."""
     if path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        sys.stdout.write(text)
+        return
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
 
 
 def _write_csv(path: str, header: list[str], lines: list[str]) -> None:
-    """Write the header and the already formatted ``lines``, each ending in a newline, in one call."""
-    fh, close = _open_out(path)
-    try:
-        fh.write(",".join(header) + "\n" + "".join(lines))
-    finally:
-        if close:
-            fh.close()
+    """Write the header and the already formatted ``lines``, each ending in a newline."""
+    _emit(path, ",".join(header) + "\n" + "".join(lines))
 
 
 def _check_count(count: int | None) -> None:
@@ -112,13 +110,7 @@ def cmd_spectrum(args) -> int:
             k_max=k_max,
             entries=[_entry_dict(s) for s in entries],
         )
-        fh, close = _open_out(args.out)
-        try:
-            json.dump(report.to_dict(), fh, indent=2)
-            fh.write("\n")
-        finally:
-            if close:
-                fh.close()
+        _emit(args.out, json.dumps(report.to_dict(), indent=2) + "\n")
     return EXIT_OK
 
 
@@ -242,12 +234,7 @@ def cmd_gnuplot_script(args) -> int:
             f"set xlabel 'rho'\nset ylabel 'E/E_B'\n"
             f"plot '{args.csv}' every ::1 using 3:4 with points title 'ground state'\n"
         )
-    fh, close = _open_out(args.out)
-    try:
-        fh.write(script)
-    finally:
-        if close:
-            fh.close()
+    _emit(args.out, script)
     return EXIT_OK
 
 

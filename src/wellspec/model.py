@@ -13,6 +13,16 @@ from dataclasses import dataclass
 
 from .errors import PositionOutOfRange
 
+MIN_COUPLING = 1e-154  # the smallest |f| whose binding energy scale 1/f^2 is finite
+
+
+def check_coupling(f: float) -> None:
+    """Raise ``ValueError`` naming f unless |f| >= ``MIN_COUPLING``; f = +-inf passes, 0 and NaN do not."""
+    if not abs(f) >= MIN_COUPLING:
+        if f == 0.0 or math.isnan(f):
+            raise ValueError("coupling f must be a nonzero real")
+        raise ValueError(f"coupling f={f!r} is below {MIN_COUPLING:g} in magnitude, where -1/f^2 overflows")
+
 
 @dataclass(frozen=True)
 class RationalPosition:
@@ -48,7 +58,7 @@ class DimensionlessConfig:
     rational; a bare float is always treated as the irrational case.  This is
     an input declaration, not a detection: floats cannot be classified.
     f = +inf is accepted as the zero-coupling sentinel (free well) used by
-    the spectral cross-check; f = 0 is rejected.
+    the spectral cross-check; f = 0 and |f| < ``MIN_COUPLING`` are rejected.
     """
 
     rho: float
@@ -58,8 +68,7 @@ class DimensionlessConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.rho < 1.0:
             raise PositionOutOfRange(f"rho={self.rho} must lie strictly inside (0, 1)")
-        if self.f == 0.0 or math.isnan(self.f):
-            raise ValueError("coupling f must be a nonzero real")
+        check_coupling(self.f)
         if self.rational is not None and self.rational.value != self.rho:
             raise ValueError("declared rational position disagrees with rho")
 

@@ -125,13 +125,14 @@ def lowest_eigenvalues(matrix: SineBasisMatrix, count: int) -> list[float]:
 
     def secular(lam):
         # w = 1 + sigma (sum u^2 / (d - lam) + T) and w' = sigma (sum u^2 / (d - lam)^2 + T'),
-        # from one (n, M) array of 1 / (d - lam), squared in place for w'
+        # from one (n, M) array of 1 / (d - lam), squared in place for w'; einsum sums each row
+        # in one order whatever the row count, where a matrix product's order depends on it
         inv = d - lam[:, None]
         np.reciprocal(inv, out=inv)
-        s1 = inv @ u2
+        s1 = np.einsum("ij,j->i", inv, u2)
         inv *= inv
         t, dt = tail(lam)
-        return 1.0 + sigma * (s1 + t), sigma * (inv @ u2 + dt)
+        return 1.0 + sigma * (s1 + t), sigma * (np.einsum("ij,j->i", inv, u2) + dt)
 
     reach = sigma * float(np.sum(u2))  # Weyl bound on the outermost root's shift
     if sigma < 0.0:

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import PositionOutOfRange, SolverFailure
-from .model import DimensionlessConfig, RationalPosition
+from .model import MIN_COUPLING, DimensionlessConfig, RationalPosition, check_coupling
 
 NODAL = "nodal"
 ORDINARY_POSITIVE = "ordinary_positive"
@@ -52,9 +52,7 @@ class EigenState(NamedTuple):
 
 @dataclass(frozen=True)
 class Spectrum:
-    config: DimensionlessConfig
     entries: list[EigenState]
-    k_max: float
 
     @property
     def energies(self) -> list[float]:
@@ -106,6 +104,11 @@ def _rhs_negative_and_slope(kappaL, rho) -> tuple[np.ndarray, np.ndarray]:
     return value, slope
 
 
+def _rhs_negative(t, rho):
+    """The value a b / c of ``_rhs_negative_and_slope`` alone, to the same bits, over arrays of t > 0 and rho."""
+    return np.expm1(-2.0 * t * rho) * np.expm1(-2.0 * t * (1.0 - rho)) / -np.expm1(-2.0 * t)
+
+
 def rhs_negative(kappaL: float, rho: float) -> float:
     """2 sinh(kL rho) sinh(kL (1-rho)) / sinh(kL), monotone increasing from 0 to 1; 0 for kL <= 0.
 
@@ -113,9 +116,7 @@ def rhs_negative(kappaL: float, rho: float) -> float:
     ``_rhs_negative_and_slope``).
     """
     t = float(kappaL)
-    if t <= 0.0:
-        return 0.0
-    return float(_rhs_negative_and_slope(t, rho)[0])
+    return 0.0 if t <= 0.0 else float(_rhs_negative(t, rho))
 
 
 def negative_residual(kappaL: float, config: DimensionlessConfig) -> float:
@@ -276,74 +277,81 @@ def _lowest_start(rho, f):
 def _brackets(rho, f, level, u):
     """The bracket (lo, hi), lower sign and first iterate of the root each free-well level owns.
 
-    g is the secular function of a diagonal-plus-rank-one operator, so each
-    level l pi, of weight u = sin(l pi rho), owns one eigenvalue.  Beside a
-    coupled level m pi, g has the sign (-1)^m; beside a decoupled one, the
-    sign of f (-1)^m (k - m pi).  So g changes sign once across
-    ((l-1) pi, l pi) for f > 0 and across (l pi, (l+1) pi) for f < 0, with
-    the sign (-1)^m just above the lower end m pi, and the root of a coupled
-    level l lies there.  It starts at the weak-coupling root beside l pi.
+    A root is one real x: kL at energy k^2, -kappa L at -kappa^2.  g is the
+    secular function of a diagonal-plus-rank-one operator, so each level
+    l pi, of weight u = sin(l pi rho), owns one eigenvalue.  Beside a coupled
+    level m pi, g has the sign (-1)^m; beside a decoupled one, the sign of
+    f (-1)^m (k - m pi).  So g changes sign once across ((l-1) pi, l pi) for
+    f > 0 and across (l pi, (l+1) pi) for f < 0, with the sign (-1)^m just
+    above the lower end m pi, and the root of a coupled level l lies there.
+    It starts at the weak-coupling root beside l pi.
 
-    Level 1 of a coupling f > 0 is decided here too.  Below the threshold
-    fc = 2 rho (1 - rho) it owns the bound root, of f t - rhs_negative(t) on
-    (1e-9, 4 max(1, 1/f)) with lower sign -1, started at ``_lowest_start``.
-    Above fc its root in (0, pi) starts at the lesser of that start and the
-    weak root, as near the threshold the root lies far below pi.  A level
-    whose root needs no solve gets the empty bracket lo = hi = its root: a
-    ``decoupled`` level at l pi, except level 1 below fc, and level 1 at
-    f == fc at kL = 0, the zero-energy state.  ``rho``, ``f``, ``level`` and
-    ``u`` broadcast together.
+    Level 1 of a coupling f > 0 is decided here alone.  Below the threshold
+    fc = 2 rho (1 - rho) it owns the bound root, x in (-4 max(1, 1/f), -1e-9)
+    with lower sign +1, started at -``_lowest_start``.  Above fc its root in
+    (0, pi) starts at the lesser of that start and the weak root, as near the
+    threshold the root lies far below pi.  A level whose root needs no solve
+    gets the empty bracket lo = hi = its root: a ``decoupled`` level at l pi,
+    except level 1 below fc, and level 1 at f == fc at x = 0, the zero-energy
+    state.  ``rho``, ``f``, ``level`` and ``u`` broadcast together.
     """
     fc = _threshold_coupling(rho)
     below = level - (f > 0.0)  # the free-well level at the lower end
     first = below == 0  # level 1 of f > 0
     binds = first & (f < fc)
     zero = first & (f == fc)
-    lo = np.where(binds, 1e-9, below * math.pi)
-    hi = np.where(binds, 4.0 * np.maximum(1.0, 1.0 / f), (below + 1) * math.pi)
-    sign = np.where(binds, -1.0, 1.0 - 2.0 * (below % 2))
+    lo = np.where(binds, -4.0 * np.maximum(1.0, 1.0 / f), below * math.pi)
+    hi = np.where(binds, -1e-9, (below + 1) * math.pi)
+    sign = np.where(binds, 1.0, 1.0 - 2.0 * (below % 2))
     start, weak = _lowest_start(rho, f), _weak_root(level, u, f)
-    x0 = np.where(binds, start, np.where(first, np.minimum(start, weak), weak))
+    x0 = np.where(binds, -start, np.where(first, np.minimum(start, weak), weak))
     known = zero | decoupled(u, f, level) & ~binds
     root = np.where(zero, 0.0, level * math.pi)
     return np.where(known, root, lo), np.where(known, root, hi), sign, x0
 
 
-def _table_residual(rho, f, bound: int):
-    """The ``fn(x, idx)`` of ``solve_brackets`` for a table of brackets: the bound form, then g.
+def _table_residual(rho, f, lo):
+    """The ``fn(x, idx)`` of ``solve_brackets`` for a table of brackets, in any order, with lower ends ``lo``.
 
-    Brackets [0, bound) hold the bound form f t - rhs_negative(t), the rest
-    g.  ``rho`` and ``f`` are scalars, or arrays with one entry per bracket.
+    g, overwritten at x = -kappa L < 0, where it is finite, by the bound form
+    f t - rhs_negative(t), t = -x, and its negated slope; plain g when no
+    bracket lies below zero.  ``rho`` and ``f`` are scalars, or arrays with
+    one entry per bracket.
     """
     pick = (lambda a, j: a[j]) if np.ndim(f) else (lambda a, j: a)
     g = lambda x, idx: _residual_and_slope(x, pick(rho, idx), pick(f, idx))
-    if not bound:
+    if not (lo < 0.0).any():
         return g
 
     def fn(x, idx):
-        n = idx.searchsorted(bound)  # idx is ascending, so the bound brackets come first
-        if n == 0:  # g alone, as in the passes after the bound brackets are solved
-            return g(x, idx)
-        out, slope = np.empty(x.size), np.empty(x.size)
-        j = idx[:n]
-        rhs, drhs = _rhs_negative_and_slope(x[:n], pick(rho, j))
-        out[:n], slope[:n] = pick(f, j) * x[:n] - rhs, pick(f, j) - drhs
-        out[n:], slope[n:] = g(x[n:], idx[n:])
-        return out, slope
+        value, slope = g(x, idx)
+        neg = x < 0.0
+        if neg.any():
+            j, t = idx[neg], -x[neg]
+            rhs, drhs = _rhs_negative_and_slope(t, pick(rho, j))
+            value[neg], slope[neg] = pick(f, j) * t - rhs, drhs - pick(f, j)
+        return value, slope
 
     return fn
 
 
-def _certify(roots: np.ndarray, rho, f) -> np.ndarray:
-    """Absolute residuals of g at the roots; raises if any exceeds the scaled tolerance.
+def _certify(x, rho, f) -> np.ndarray:
+    """Absolute residuals at the roots x, each in its own form; raises if any exceeds its tolerance.
 
-    ``rho`` and ``f`` are scalars, or arrays with one entry per root.
+    |f t - rhs_negative(t)|, t = -x, below zero; |g(x)| at and above zero,
+    where the tolerance scales by max(1, |f| x).  ``rho`` and ``f`` are
+    scalars, or arrays with one entry per root.
     """
-    res = np.abs(_residual(roots, rho, f))
-    bad = np.nonzero(res > _RESIDUAL_TOL * np.maximum(1.0, np.abs(f) * roots))[0]
+    res = np.abs(_residual(x, rho, f))
+    neg = x < 0.0
+    if neg.any():
+        t = -x[neg]
+        rho_t, f_t = (rho[neg], f[neg]) if np.ndim(f) else (rho, f)
+        res[neg] = np.abs(f_t * t - _rhs_negative(t, rho_t))
+    bad = np.flatnonzero(res > _RESIDUAL_TOL * np.maximum(1.0, np.abs(f) * x))
     if bad.size:
-        root = float(roots[bad[0]])
-        raise SolverFailure(f"root polish left residual {res[bad[0]]:.3e} at kL={root}", (root, root))
+        root = float(x[bad[0]])
+        raise SolverFailure(f"root polish left residual {res[bad[0]]:.3e} at x={root}", (root, root))
     return res
 
 
@@ -389,11 +397,8 @@ def ground_states(rho, f) -> np.ndarray:
 
     ``rho`` and ``f`` broadcast together; the energies come back in their
     shape.  Each point's level 1 gets its bracket from ``_brackets``, as in
-    ``full_spectrum``: the bound root for 0 < f < fc (fc = 2 rho (1 - rho)),
-    the zero-energy state at f == fc, the root in (0, pi) above fc and in
-    (pi, 2 pi) for f < 0, or pi itself where level 1 is ``decoupled``.
-    Every bracket is solved by one ``solve_brackets`` call, and every root
-    carries the residual certificate of its form.
+    ``full_spectrum``; one ``solve_brackets`` call solves them all, and a
+    root x, certified by ``_certify``, has the energy x |x|.
     """
     rho, f = np.broadcast_arrays(np.asarray(rho, dtype=float), np.asarray(f, dtype=float))
     shape = rho.shape
@@ -401,72 +406,50 @@ def ground_states(rho, f) -> np.ndarray:
     outside = ~((rho > 0.0) & (rho < 1.0))
     if outside.any():
         raise PositionOutOfRange(f"rho={rho[outside][0]} must lie strictly inside (0, 1)")
-    if np.any((f == 0.0) | np.isnan(f)):
-        raise ValueError("coupling f must be a nonzero real")
-    binds = (f > 0.0) & (f < _threshold_coupling(rho))
-    points = np.concatenate((np.flatnonzero(binds), np.flatnonzero(~binds)))  # the bound brackets lead the table
-    rho, f, bound = rho[points], f[points], np.count_nonzero(binds)
-    residual = _table_residual(rho, f, bound)
+    rejected = ~(np.abs(f) >= MIN_COUPLING)  # zero, NaN and tiny couplings, as DimensionlessConfig rejects them
+    if rejected.any():
+        check_coupling(float(f[rejected][0]))
     lo, hi, sign, x0 = _brackets(rho, f, 1, np.sin(np.pi * rho))
-    roots = solve_brackets(residual, lo, hi, sign, x0)
-
-    t, k = roots[:bound], roots[bound:]
-    res = np.abs(residual(t, np.arange(bound))[0])
-    bad = np.flatnonzero(res > _RESIDUAL_TOL)
-    if bad.size:
-        i = bad[0]
-        raise SolverFailure(f"negative root residual {res[i]:.3e}", (lo[i], hi[i]))
-    _certify(k, rho[bound:], f[bound:])
-
-    energy = np.empty(points.size)
-    energy[points] = np.concatenate((-t * t, k * k))
-    return energy.reshape(shape)
+    x = solve_brackets(_table_residual(rho, f, lo), lo, hi, sign, x0)
+    _certify(x, rho, f)
+    return (x * np.abs(x)).reshape(shape)
 
 
 def full_spectrum(config: DimensionlessConfig, k_max: float = DEFAULT_K_MAX) -> Spectrum:
     """Every level in (-inf, k_max^2], energy-sorted, from one table of brackets and one solve.
 
-    Each free-well level l pi owns one root, and ``_brackets`` gives its
+    Each free-well level l pi owns one root x, and ``_brackets`` gives its
     bracket: in ((l-1) pi, l pi) for f > 0 and in (l pi, (l+1) pi) for
-    f < 0, the bound root or the zero-energy state for level 1 of
-    0 < f <= fc (fc = 2 rho (1 - rho)), and l pi itself for a ``decoupled``
-    level.  The table holds levels 1 to M + 1 for f > 0 and 1 to M for
-    f < 0, M pi <= k_max < (M + 1) pi, and a root is kept when it lies below
-    k_max; the nodal levels of an exact position come from
-    ``enumerate_nodal`` instead.  ``solve_brackets`` solves the whole table in
-    one call, with endpoint signs from the interlacing count rather than
-    from g at a rounded multiple of pi, and each root is certified in its
-    own form.  The roots come out in level order, which is energy order.
+    f < 0, below zero for the bound root, and l pi itself for a
+    ``decoupled`` level.  The table holds levels 1 to M + 1 for f > 0 and
+    1 to M for f < 0, M pi <= k_max < (M + 1) pi, and a root is kept when it
+    lies below k_max; the nodal levels of an exact position come from
+    ``enumerate_nodal`` instead.  ``solve_brackets`` solves the whole table
+    in one call, with endpoint signs from the interlacing count rather than
+    from g at a rounded multiple of pi, and ``_certify`` checks each root in
+    its own form.  The roots come out in level order, which is energy order.
+    A root has k = |x| and energy x |x|, and is ``ordinary_negative`` where
+    x <= 0, as only level 1 can be.
     """
     if not (math.isfinite(k_max) and k_max >= 0.0):
         raise ValueError(f"k_max must be non-negative and finite, got {k_max}")
     rho, f = config.rho, config.f
-    fc = _threshold_coupling(rho)
-    bound = int(0.0 < f < fc)  # the bound bracket: 0 or 1
     levels = np.arange(1, int(k_max // math.pi) + 1 + (f > 0.0))
     if config.is_exact:
         levels = levels[levels % config.rational.n != 0]  # the nodal levels are enumerate_nodal's
-    table = _table_residual(rho, f, bound)
-    roots = solve_brackets(table, *_brackets(rho, f, levels, coupling(config, levels)))
-
-    pos = roots[bound:]
-    pos = pos[pos <= k_max]
-    res = _certify(pos, rho, f)
+    lo, hi, sign, x0 = _brackets(rho, f, levels, coupling(config, levels))
+    x = solve_brackets(_table_residual(rho, f, lo), lo, hi, sign, x0)
+    x = x[x <= k_max]
+    res = _certify(x, rho, f)
+    k = np.abs(x)
+    kinds = chain(repeat(ORDINARY_NEGATIVE, np.count_nonzero(x <= 0.0)), repeat(ORDINARY_POSITIVE))
     # tuple.__new__ builds the entries without the named tuple's Python-level __new__
-    rows = zip(repeat(ORDINARY_POSITIVE), pos.tolist(), (pos * pos).tolist(), res.tolist(), repeat(None), repeat(None))
+    rows = zip(kinds, k.tolist(), (x * k).tolist(), res.tolist(), repeat(None), repeat(None))
     entries = list(map(tuple.__new__, repeat(EigenState), rows))
-    if bound:
-        t = float(roots[0])
-        res = abs(negative_residual(t, config))
-        if res > _RESIDUAL_TOL:
-            raise SolverFailure(f"negative root residual {res:.3e}", (t, t))
-        entries.insert(0, EigenState(ORDINARY_NEGATIVE, t, -t * t, res))
-    elif f == fc:  # level 1's root kappaL = 0: the zero-energy state, the kappa -> 0 member of the bound family
-        entries[0] = EigenState(ORDINARY_NEGATIVE, 0.0, 0.0, 0.0)
     if config.is_exact:  # the nodal levels interleave with the rest
         entries.extend(enumerate_nodal(config.rational, k_max))
         entries.sort(key=attrgetter("energy"))
-    return Spectrum(config, entries, k_max)
+    return Spectrum(entries)
 
 
 def _weak_root(N, u, f):

@@ -147,6 +147,14 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
 
+    def test_spectrum_json_out_matches_stdout(self, tmp_path, capsys):
+        args = ["spectrum", "--rho-real", "0.3", "--f", "0.1", "--format", "json"]
+        out = tmp_path / "s.json"
+        assert main(args + ["--out", str(out)]) == 0
+        assert main(args) == 0
+        assert out.read_bytes() == capsys.readouterr().out.encode()
+
+
 class TestJsonReport:
     def test_round_trip_and_schema(self, tmp_path):
         out = tmp_path / "spec.json"
@@ -231,6 +239,24 @@ class TestExitCodes:
     def test_sweep_invalid_coupling_is_usage_error(self, f_list, capsys):
         assert main(["sweep-ground", "--f-list", f_list, "--rho-steps", "5"]) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["spectrum", "--rho-real", "0.3", "--f", "1e-200"], ["spectrum", "--rho-real", "0.3", "--f=-1e-310"],
+         ["sweep-ground", "--f-list", "1e-200", "--rho-steps", "5"],
+         ["sweep-ground", "--f-list", "0.1,1e-310", "--rho-steps", "5"]],
+    )
+    def test_tiny_coupling_is_usage_error(self, argv, capsys):
+        # |f| < 1e-154, where the binding energy -1/f^2 and E f^2 overflow
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "coupling f=" in err
+
+    def test_smallest_couplings_sweep_finitely(self, capsys):
+        assert main(["sweep-ground", "--f-list", "1e-150", "--signs", "attract", "--rho-steps", "5"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 5
+        assert all(float(r[3]) == pytest.approx(-1.0, rel=1e-12) for r in rows)
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -354,6 +380,11 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--rho-real", "0.3", "--f", "0.1", "--kmax", "0"]) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
         assert len(rows) == 1 and rows[0].startswith("ordinary_negative,")
+
+    def test_zero_energy_state_row(self, capsys):
+        # at the binding threshold f == 2 rho (1 - rho) the bound root is kappa L = 0
+        assert main(["spectrum", "--rho-real", "0.3", "--f", "0.42", "--kmax", "0"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == ["ordinary_negative,0,0,0"]
 
     def test_generic_position_has_no_nodal_rows(self, tmp_path):
         out = tmp_path / "s.csv"

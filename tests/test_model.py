@@ -1,6 +1,7 @@
 """Problem-instance types: reduction, accessors, validation, mirror properties."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,7 @@ from wellspec import (
     RationalPosition,
     reduce_position,
 )
+from wellspec.model import MIN_COUPLING
 
 
 class TestReducePosition:
@@ -53,6 +55,16 @@ class TestConfigValidation:
     def test_nan_coupling_rejected(self):
         with pytest.raises(ValueError):
             DimensionlessConfig.generic(0.3, math.nan)
+
+    @pytest.mark.parametrize("f", [1e-200, -1e-310, 5e-324, -0.99e-154])
+    def test_tiny_coupling_rejected(self, f):
+        # below 1e-154 the binding energy -1/f^2 overflows, and 1/f too past ~1e-308
+        with pytest.raises(ValueError, match=re.escape(f"coupling f={f!r}")):
+            DimensionlessConfig.generic(0.3, f)
+
+    @pytest.mark.parametrize("f", [MIN_COUPLING, -MIN_COUPLING, 1e-150])
+    def test_smallest_couplings_accepted(self, f):
+        assert DimensionlessConfig.generic(0.3, f).f == f
 
     def test_infinite_coupling_sentinel_accepted(self):
         cfg = DimensionlessConfig.generic(0.3, math.inf)

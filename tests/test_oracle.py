@@ -123,6 +123,16 @@ class TestLowestEigenvalues:
         with pytest.raises(ValueError):
             lowest_eigenvalues(m, 6)
 
+    def test_lowest_level_does_not_depend_on_the_batch(self):
+        # near E = 0 the secular function cancels to a few ulp of 1, so a row
+        # sum whose order follows the number of rows moved this level by 5.5e-14
+        m = build_matrix(ws.DimensionlessConfig.exact(1, 3, 0.43953), 1000)
+        assert lowest_eigenvalues(m, 1)[0] == lowest_eigenvalues(m, 41)[0]
+        for rho, f, size in ((0.3183, 0.7, 999), (0.71, -0.05, 1001), (0.137, 0.25, 2000)):
+            m = build_matrix(ws.DimensionlessConfig.generic(rho, f), size)
+            every = lowest_eigenvalues(m, 41)
+            assert all(lowest_eigenvalues(m, count) == every[:count] for count in (1, 3, 8))
+
     def test_secular_matches_jacobi(self, no_tail):
         # independent dense eigensolver agrees with the rank-one secular path on the truncated matrix
         for cfg in (

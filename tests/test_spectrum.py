@@ -319,6 +319,18 @@ class TestBoundState:
         assert entry.k == pytest.approx(float(want), rel=1e-9)
         assert math.sqrt(-ws.ground_states(rho, f)) == pytest.approx(float(want), rel=1e-9)
 
+    @pytest.mark.parametrize("rho", [0.3, 1e-9])
+    @pytest.mark.parametrize("f", [1e-150, 1e-154])
+    def test_smallest_couplings_bind_finitely(self, rho, f):
+        # kappa L = 1/f: at |f| = 1e-154, the smallest coupling accepted, the energy -1/f^2 is still finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            entry = ws.full_spectrum(_gen(rho, f)).entries[0]
+            energy = ws.ground_states(rho, f)
+        assert entry.kind == ws.ORDINARY_NEGATIVE
+        assert math.isfinite(energy) and energy == entry.energy
+        assert energy * f * f == pytest.approx(-1.0, rel=1e-12)
+
     def test_scaled_residual_certificate(self):
         s = _bound(_gen(0.33, 0.2))
         cfg = _gen(0.33, 0.2)
@@ -440,7 +452,7 @@ class TestGroundState:
     @pytest.mark.parametrize(
         "rho, f, error",
         [(0.0, 0.3, ws.PositionOutOfRange), (1.0, 0.3, ws.PositionOutOfRange), (math.nan, 0.3, ws.PositionOutOfRange),
-         (0.3, 0.0, ValueError), (0.3, math.nan, ValueError)],
+         (0.3, 0.0, ValueError), (0.3, math.nan, ValueError), (0.3, 1e-200, ValueError), (0.3, -1e-310, ValueError)],
     )
     def test_batched_rejects_what_the_config_rejects(self, rho, f, error):
         with pytest.raises(error):
@@ -764,17 +776,68 @@ class TestFullSpectrum:
         assert entries == ws.full_spectrum(cfg, 4.0 * math.pi).entries[: len(entries)]
 
 
+class TestSignedTable:
+    # Below zero a table solves the bound root in x = -kappa L: its value is
+    # f t - rhs_negative(t) at t = -x, bit for bit, and its slope the negated
+    # slope of that form; at and above zero it is g.
+    @staticmethod
+    def _check(table, x, rho, f):
+        rho, f = np.broadcast_to(rho, x.shape), np.broadcast_to(f, x.shape)
+        value, slope = table(x, np.arange(x.size))
+        neg = x < 0.0
+        t = -x[neg]
+        want = np.array([b * c - ws.rhs_negative(c, a) for a, b, c in zip(rho[neg], f[neg], t)])
+        np.testing.assert_array_equal(value[neg], want)
+        np.testing.assert_array_equal(slope[neg], -(f[neg] - wellspec.spectrum._rhs_negative_and_slope(t, rho[neg])[1]))
+        g, dg = wellspec.spectrum._residual_and_slope(x[~neg], rho[~neg], f[~neg])
+        np.testing.assert_array_equal(value[~neg], g)
+        np.testing.assert_array_equal(slope[~neg], dg)
+
+    @pytest.mark.parametrize("rho, f", [(0.3, 0.1), (1e-9, 1.9999e-9), (0.5, 0.4999), (0.9204333206212386, 1e-3)])
+    def test_generic_table_is_the_bound_form_below_zero(self, rho, f):
+        rng = np.random.default_rng(3)
+        x = rng.permutation(np.concatenate((-np.geomspace(1e-9, 4.0 / f, 37), np.linspace(0.0, 60.0, 11))))
+        table = wellspec.spectrum._table_residual(rho, f, np.array([-4.0 / f, 0.0]))
+        self._check(table, x, rho, f)
+
+    def test_array_table_is_the_bound_form_below_zero(self):
+        # per-bracket rho and f, bound and ordinary brackets mixed in any order
+        rng = np.random.default_rng(4)
+        n = 64
+        rho, f = rng.uniform(1e-6, 1.0 - 1e-6, n), rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 1.0, n)
+        x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-9.0, 3.0, n)
+        lo, _, _, _ = wellspec.spectrum._brackets(rho, f, 1, np.sin(np.pi * rho))
+        assert (lo < 0.0).any() and (lo >= 0.0).any()
+        self._check(wellspec.spectrum._table_residual(rho, f, lo), x, rho, f)
+
+    def test_table_without_a_bracket_below_zero_is_g(self):
+        x = np.array([-2.0, 0.5, 3.0])
+        table = wellspec.spectrum._table_residual(0.3, 0.1, np.array([0.0, math.pi]))
+        for got, want in zip(table(x, np.arange(3)), wellspec.spectrum._residual_and_slope(x, 0.3, 0.1)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_certificate_reads_each_form(self):
+        cfg = _gen(0.33, 0.2)
+        bound, first = ws.full_spectrum(cfg, 2.0 * math.pi).entries
+        res = wellspec.spectrum._certify(np.array([-bound.k, first.k]), cfg.rho, cfg.f)
+        assert res[0] == abs(ws.negative_residual(bound.k, cfg)) == bound.residual
+        assert res[1] == abs(float(ws.dispersion_residual(first.k, cfg))) == first.residual
+        with pytest.raises(ws.SolverFailure, match="residual"):
+            wellspec.spectrum._certify(np.array([-1.0]), cfg.rho, cfg.f)
+
+
 class TestOneSolve:
     @pytest.mark.parametrize("cfg", [_exact(2, 5, 0.1), _gen(0.4, 0.1)], ids=repr)
     def test_full_spectrum_solves_its_table_once(self, cfg):
-        # a bound state, then one bracket per level: the interval below it, or
-        # the empty bracket at 5 pi and its multiples, which the float 0.4
-        # decouples (at 2/5 they are nodal and enumerate_nodal's); none merged
+        # a bound state in x = -kappa L, then one bracket per level: the
+        # interval below it, or the empty bracket at 5 pi and its multiples,
+        # which the float 0.4 decouples (at 2/5 they are nodal and
+        # enumerate_nodal's); none merged
         with _recorded_solves() as calls:
             spec = ws.full_spectrum(cfg, 20.0 * math.pi)
         assert len(calls) == 1
         _, lo, hi, _, _, _ = calls[0]
-        assert (lo[0], hi[0]) == (1e-9, 40.0)  # the bound form leads
+        assert (lo[0], hi[0]) == (-40.0, -1e-9)  # the bound form, below zero
         levels = np.arange(2, 22)
         decoupled = levels % 5 == 0
         if cfg.is_exact:
