@@ -18,7 +18,6 @@ from .spectrum import (
     coupling,
     decoupled,
     dispersion_residual,
-    enumerate_nodal,
     negative_residual,
     full_spectrum,
     ground_states,

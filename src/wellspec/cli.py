@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -56,11 +57,11 @@ def _config_echo(config: DimensionlessConfig) -> dict:
     return echo
 
 
-def _entry_dict(s: spectrum.EigenState) -> dict:
+def _entry_dict(s: spectrum.EigenState, config: DimensionlessConfig) -> dict:
     d = {"kind": s.kind, "k": s.k, "energy": s.energy, "residual": s.residual}
-    if s.kind == spectrum.NODAL:
-        d["n"] = s.n
-        d["j"] = s.j
+    if s.kind == spectrum.NODAL:  # k = j n pi at the exact position p/n
+        d["n"] = n = config.rational.n
+        d["j"] = round(s.k / (n * math.pi))
     return d
 
 
@@ -108,7 +109,7 @@ def cmd_spectrum(args) -> int:
             schema=SCHEMA_VERSION,
             config=_config_echo(config),
             k_max=k_max,
-            entries=[_entry_dict(s) for s in entries],
+            entries=[_entry_dict(s, config) for s in entries],
         )
         _emit(args.out, json.dumps(report.to_dict(), indent=2) + "\n")
     return EXIT_OK
@@ -245,6 +246,14 @@ def _add_rho_f_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--f", type=float, required=True, help="dimensionless coupling Lambda/L")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads "-1e-3" and "-.5" as values; argparse alone takes only -N and -N.N for negative numbers."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")  # add_subparsers reuses this class
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process.
@@ -252,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     Parsing does not change it: it has no ``append`` actions and no mutable
     defaults, so every call of ``main`` reuses it.
     """
-    parser = argparse.ArgumentParser(prog="wellspec", description=__doc__)
+    parser = _Parser(prog="wellspec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_spec = sub.add_parser("spectrum", help="solve and emit the sorted spectrum")

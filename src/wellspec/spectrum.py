@@ -1,4 +1,4 @@
-"""Spectrum solvers: dispersion relations, nodal enumeration, asymptotics.
+"""Spectrum solvers: dispersion relations, asymptotics.
 
 Positive-energy roots come from the entire-function residual
 
@@ -13,18 +13,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import attrgetter
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import PositionOutOfRange, SolverFailure
-from .model import MIN_COUPLING, DimensionlessConfig, RationalPosition, check_coupling
+from .model import MIN_COUPLING, DimensionlessConfig, check_coupling
 
 NODAL = "nodal"
 ORDINARY_POSITIVE = "ordinary_positive"
 ORDINARY_NEGATIVE = "ordinary_negative"
+_KINDS = np.array([ORDINARY_POSITIVE, ORDINARY_NEGATIVE, NODAL], dtype=object)  # by (x <= 0) + 2 (weight == 0)
 
 DEFAULT_K_MAX = 20.0 * math.pi
 
@@ -46,8 +46,6 @@ class EigenState(NamedTuple):
     k: float
     energy: float
     residual: float
-    n: int | None = None
-    j: int | None = None
 
 
 @dataclass(frozen=True)
@@ -291,9 +289,10 @@ def _brackets(rho, f, level, u):
     with lower sign +1, started at -``_lowest_start``.  Above fc its root in
     (0, pi) starts at the lesser of that start and the weak root, as near the
     threshold the root lies far below pi.  A level whose root needs no solve
-    gets the empty bracket lo = hi = its root: a ``decoupled`` level at l pi,
-    except level 1 below fc, and level 1 at f == fc at x = 0, the zero-energy
-    state.  ``rho``, ``f``, ``level`` and ``u`` broadcast together.
+    gets the empty bracket lo = hi = its root: a ``decoupled`` level at l pi
+    (a nodal one, of weight exactly 0, among them), except level 1 below fc,
+    and level 1 at f == fc at x = 0, the zero-energy state.  ``rho``, ``f``,
+    ``level`` and ``u`` broadcast together.
     """
     fc = _threshold_coupling(rho)
     below = level - (f > 0.0)  # the free-well level at the lower end
@@ -381,17 +380,6 @@ def decoupled(u, f, m):
     return u * u <= 0.25 * (abs(f) * k + 2.0 * abs(u)) * k * _EPS
 
 
-def enumerate_nodal(pos: RationalPosition, k_max: float) -> list[EigenState]:
-    """Nodal states kL = j*n*pi up to the ceiling; empty when n*pi exceeds it."""
-    out = []
-    j = 1
-    while j * pos.n * math.pi <= k_max:
-        k = j * pos.n * math.pi
-        out.append(EigenState(NODAL, k, k * k, 0.0, n=pos.n, j=j))
-        j += 1
-    return out
-
-
 def ground_states(rho, f) -> np.ndarray:
     """Ground-state energies of the generic configurations (rho[i], f[i]), solved together.
 
@@ -416,40 +404,41 @@ def ground_states(rho, f) -> np.ndarray:
 
 
 def full_spectrum(config: DimensionlessConfig, k_max: float = DEFAULT_K_MAX) -> Spectrum:
-    """Every level in (-inf, k_max^2], energy-sorted, from one table of brackets and one solve.
+    """Every level in (-inf, k_max^2], in energy order, from one table of brackets and one solve.
 
     Each free-well level l pi owns one root x, and ``_brackets`` gives its
     bracket: in ((l-1) pi, l pi) for f > 0 and in (l pi, (l+1) pi) for
     f < 0, below zero for the bound root, and l pi itself for a
     ``decoupled`` level.  The table holds levels 1 to M + 1 for f > 0 and
-    1 to M for f < 0, M pi <= k_max < (M + 1) pi, and a root is kept when it
-    lies below k_max; the nodal levels of an exact position come from
-    ``enumerate_nodal`` instead.  ``solve_brackets`` solves the whole table
-    in one call, with endpoint signs from the interlacing count rather than
-    from g at a rounded multiple of pi, and ``_certify`` checks each root in
-    its own form.  The roots come out in level order, which is energy order.
-    A root has k = |x| and energy x |x|, and is ``ordinary_negative`` where
-    x <= 0, as only level 1 can be.
+    1 to M for f < 0, M the last level with fl(M pi) <= k_max, and a root
+    is kept when it lies below k_max.  ``solve_brackets`` solves the whole
+    table in one call, with endpoint signs from the interlacing count rather
+    than from g at a rounded multiple of pi, and ``_certify`` checks each
+    root in its own form.  The roots come out in level order, which is
+    energy order.  A root has k = |x| and energy x |x|.  It is
+    ``ordinary_negative`` where x <= 0, as only level 1 can be, and
+    ``nodal``, with residual 0, where the level's weight is exactly 0: a
+    multiple of n pi at an exact position p/n, which ``coupling`` finds in
+    integers.
     """
     if not (math.isfinite(k_max) and k_max >= 0.0):
         raise ValueError(f"k_max must be non-negative and finite, got {k_max}")
     rho, f = config.rho, config.f
-    levels = np.arange(1, int(k_max // math.pi) + 1 + (f > 0.0))
-    if config.is_exact:
-        levels = levels[levels % config.rational.n != 0]  # the nodal levels are enumerate_nodal's
-    lo, hi, sign, x0 = _brackets(rho, f, levels, coupling(config, levels))
+    m = int(k_max // math.pi)
+    m += (m + 1) * math.pi <= k_max  # k_max // pi can round fl(M pi) // pi down to M - 1
+    levels = np.arange(1, m + 1 + (f > 0.0))
+    u = coupling(config, levels)
+    lo, hi, sign, x0 = _brackets(rho, f, levels, u)
     x = solve_brackets(_table_residual(rho, f, lo), lo, hi, sign, x0)
-    x = x[x <= k_max]
+    keep = x <= k_max
+    x, nodal = x[keep], u[keep] == 0.0
     res = _certify(x, rho, f)
+    res[nodal] = 0.0
     k = np.abs(x)
-    kinds = chain(repeat(ORDINARY_NEGATIVE, np.count_nonzero(x <= 0.0)), repeat(ORDINARY_POSITIVE))
+    kinds = _KINDS[(x <= 0.0) + 2 * nodal].tolist()
     # tuple.__new__ builds the entries without the named tuple's Python-level __new__
-    rows = zip(kinds, k.tolist(), (x * k).tolist(), res.tolist(), repeat(None), repeat(None))
-    entries = list(map(tuple.__new__, repeat(EigenState), rows))
-    if config.is_exact:  # the nodal levels interleave with the rest
-        entries.extend(enumerate_nodal(config.rational, k_max))
-        entries.sort(key=attrgetter("energy"))
-    return Spectrum(entries)
+    rows = zip(kinds, k.tolist(), (x * k).tolist(), res.tolist())
+    return Spectrum(list(map(tuple.__new__, repeat(EigenState), rows)))
 
 
 def _weak_root(N, u, f):

@@ -131,19 +131,18 @@ def build_wave(state: EigenState, config: DimensionlessConfig, check: bool = Tru
     overall phase the dispersion relation leaves free.
     """
     rho = config.rho
-    if state.kind == NODAL:
-        if check and (not config.is_exact or state.n != config.rational.n):
-            raise InconsistentState("nodal state does not belong to this configuration")
-        return _nodal_wave(state.k, state.n * state.j, rho)
-
-    if state.kind == ORDINARY_POSITIVE:
+    if state.kind in (NODAL, ORDINARY_POSITIVE):
         k = state.k
         if k == 0.0:
             raise InconsistentState("the zero-energy state is the ordinary negative one at kappaL = 0")
-        if check and abs(float(dispersion_residual(k, config))) > _CHECK_TOL * max(1.0, abs(config.f) * k):
-            raise InconsistentState(f"residual certificate fails at kL={k}")
         m = round(k / math.pi)
-        if k == m * math.pi and decoupled(coupling(config, m), config.f, m):
+        u = coupling(config, m) if k == m * math.pi else None  # the weight of the level k sits on, if any
+        if check and state.kind == NODAL and u != 0.0:
+            raise InconsistentState("nodal state is not a level of zero weight of this configuration")
+        if check and state.kind == ORDINARY_POSITIVE:
+            if abs(float(dispersion_residual(k, config))) > _CHECK_TOL * max(1.0, abs(config.f) * k):
+                raise InconsistentState(f"residual certificate fails at kL={k}")
+        if u is not None and decoupled(u, config.f, m):
             # the ordinary amplitudes below are of the size of the weight, which is at the rounding floor here
             return _nodal_wave(k, m, rho)
         raw_l = math.sin(k * (1.0 - rho))

@@ -101,7 +101,8 @@ def test_criterion_2_dispersion_and_degeneracy_lifting(tmp_path, capsys):
     _check(failures, rows["5"][2] == "0" and rows["5"][1] != "",
            "rho=2/5 curve not finite at kL/pi=5")
 
-    nodal_floor = ws.enumerate_nodal(ws.reduce_position(83, 200), 201.0 * math.pi)
+    nodal_floor = [s for s in ws.full_spectrum(ws.DimensionlessConfig.exact(83, 200, 0.3), 201.0 * math.pi).entries
+                   if s.kind == ws.NODAL]
     _check(failures, nodal_floor and round(nodal_floor[0].k / math.pi) == 200,
            "rho=0.415=83/200 lowest nodal value is not kL/pi=200")
     out2 = tmp_path / "d415.csv"

@@ -168,8 +168,31 @@ class TestJsonReport:
         kinds = [e["kind"] for e in loaded["entries"]]
         assert "nodal" in kinds and "ordinary_positive" in kinds
 
+    def test_nodal_entries_carry_n_and_j(self, capsys):
+        # 4/10 reduces to 2/5: the nodal levels are j n pi, n = 5, each with its n and j after the four fields
+        assert main(["spectrum", "--rho", "4/10", "--f", "0.3", "--kmax", "16", "--format", "json"]) == 0
+        entries = json.loads(capsys.readouterr().out)["entries"]
+        nodal = [list(e.items()) for e in entries if e["kind"] == "nodal"]
+        want = [
+            [("kind", "nodal"), ("k", k), ("energy", k * k), ("residual", 0.0), ("n", 5), ("j", j)]
+            for j, k in ((j, j * 5 * math.pi) for j in (1, 2, 3))
+        ]
+        assert nodal == want
+
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv",
+        [["spectrum", "--rho-real", "0.3", "--kmax", "6"], ["check", "--rho-real", "0.3", "--count", "4"]],
+        ids=["spectrum", "check"],
+    )
+    def test_negative_coupling_with_an_exponent(self, argv, capsys):
+        # argparse on its own reads "-1e-3" as an option and exits 2
+        assert main(argv + ["--f=-1e-3"]) == 0
+        joined = capsys.readouterr().out
+        assert main(argv + ["--f", "-1e-3"]) == 0
+        assert capsys.readouterr().out == joined
+
     def test_invalid_position_is_usage_error(self):
         assert main(["spectrum", "--rho", "5/4", "--f", "0.1"]) == 2
 

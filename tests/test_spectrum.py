@@ -1,4 +1,4 @@
-"""Dispersion solvers, nodal enumeration, asymptotics, and their invariants.
+"""Dispersion solvers, nodal levels, asymptotics, and their invariants.
 
 Frozen reference numbers marked "independent bisection" were produced by a
 standalone fixed-point/bisection script on the scalar transcendental equations,
@@ -204,19 +204,28 @@ class TestRhsNegative:
         np.testing.assert_allclose(slope, want, rtol=1e-12, atol=0.0)
 
 
-class TestEnumerateNodal:
-    def test_two_fifths(self):
-        states = ws.enumerate_nodal(ws.reduce_position(2, 5), 16.0 * math.pi)
+def _nodal(cfg, k_max):
+    """The nodal entries of the spectrum below k_max."""
+    return [s for s in ws.full_spectrum(cfg, k_max).entries if s.kind == ws.NODAL]
+
+
+class TestNodalLevels:
+    # a nodal level is a table level of weight exactly 0: it sits at j n pi, on either side of the coupling
+    @pytest.mark.parametrize("f", [0.3, -0.3])
+    def test_two_fifths(self, f):
+        states = _nodal(_exact(2, 5, f), 16.0 * math.pi)
         assert [round(s.k / math.pi) for s in states] == [5, 10, 15]
         assert all(s.kind == ws.NODAL and s.residual == 0.0 for s in states)
         assert states[0].energy == pytest.approx((5 * math.pi) ** 2)
 
-    def test_one_third(self):
-        states = ws.enumerate_nodal(ws.reduce_position(1, 3), 10.0 * math.pi)
+    @pytest.mark.parametrize("f", [0.3, -0.3])
+    def test_one_third(self, f):
+        states = _nodal(_exact(1, 3, f), 10.0 * math.pi)
         assert [round(s.k / math.pi) for s in states] == [3, 6, 9]
 
-    def test_floor_above_ceiling(self):
-        assert ws.enumerate_nodal(ws.reduce_position(83, 200), 100.0 * math.pi) == []
+    @pytest.mark.parametrize("f", [0.3, -0.3])
+    def test_floor_above_ceiling(self, f):
+        assert _nodal(_exact(83, 200, f), 100.0 * math.pi) == []
 
 
 class TestOrdinaryPositive:
@@ -617,6 +626,41 @@ class TestFullSpectrum:
             assert b.kind == (ws.ORDINARY_POSITIVE if a.kind == ws.NODAL else a.kind)
             assert a.energy == pytest.approx(b.energy, abs=1e-8)
 
+    @pytest.mark.parametrize("M", [15, 30, 35])
+    @pytest.mark.parametrize("f", [0.1, -0.1])
+    def test_decoupled_level_at_the_ceiling_is_kept(self, f, M):
+        # k_max // pi rounds fl(M pi) // pi down to M - 1 at each of these M; a table
+        # counted that way ended one level short for f < 0 and lost the level at k_max
+        k_max = M * math.pi
+        ex = ws.full_spectrum(_exact(2, 5, f), k_max)
+        gn = ws.full_spectrum(_gen(0.4, f), k_max)
+        assert len(gn.entries) == len(ex.entries)
+        assert gn.energies[-1] == ex.energies[-1] == k_max * k_max
+        np.testing.assert_allclose(gn.energies, ex.energies, rtol=8.0 * EPS, atol=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 60).flatmap(lambda n: st.tuples(st.integers(1, n - 1), st.just(n))),
+        st.floats(-6.0, 6.0),
+        st.booleans(),
+        st.integers(0, 120),
+    )
+    @example((2, 5), -1.0, True, 15)
+    def test_exact_and_generic_paths_agree(self, position, log_f, repel, M):
+        # one table for both: the float p/n decouples the nodal levels of p/n, which
+        # only the exact position labels nodal, each at exactly j n pi
+        p, n = position
+        g = math.gcd(p, n)
+        p, n = p // g, n // g
+        f, k_max = -(10.0**log_f) if repel else 10.0**log_f, M * math.pi
+        ex = ws.full_spectrum(_exact(p, n, f), k_max).entries
+        gn = ws.full_spectrum(_gen(p / n, f), k_max).entries
+        assert len(ex) == len(gn)
+        assert [a.k for a in ex if a.kind == ws.NODAL] == [j * n * math.pi for j in range(1, M // n + 1)]
+        for a, b in zip(ex, gn):
+            assert b.kind == (ws.ORDINARY_POSITIVE if a.kind == ws.NODAL else a.kind)
+            assert abs(a.energy - b.energy) <= 8.0 * EPS * abs(a.energy)
+
     @settings(max_examples=15, deadline=None)
     @given(st.floats(0.06, 0.94), st.sampled_from([0.7, -0.4, 3.0, -20.0, 0.05]))
     # decoupled levels: the even ones at 0.5 +- 1e-15, a run from pi next to a wall
@@ -831,8 +875,8 @@ class TestOneSolve:
     def test_full_spectrum_solves_its_table_once(self, cfg):
         # a bound state in x = -kappa L, then one bracket per level: the
         # interval below it, or the empty bracket at 5 pi and its multiples,
-        # which the float 0.4 decouples (at 2/5 they are nodal and
-        # enumerate_nodal's); none merged
+        # which the float 0.4 decouples and at 2/5 have weight exactly 0
+        # (nodal); none merged
         with _recorded_solves() as calls:
             spec = ws.full_spectrum(cfg, 20.0 * math.pi)
         assert len(calls) == 1
@@ -840,8 +884,6 @@ class TestOneSolve:
         assert (lo[0], hi[0]) == (-40.0, -1e-9)  # the bound form, below zero
         levels = np.arange(2, 22)
         decoupled = levels % 5 == 0
-        if cfg.is_exact:
-            levels, decoupled = levels[~decoupled], decoupled[~decoupled]
         np.testing.assert_array_equal(lo[1:], np.where(decoupled, levels, levels - 1) * math.pi)
         np.testing.assert_array_equal(hi[1:], levels * math.pi)
         assert spec.entries[0].kind == ws.ORDINARY_NEGATIVE

@@ -26,6 +26,11 @@ def _first_states(config, count, k_max=20.0 * math.pi):
     return ws.full_spectrum(config, k_max).entries[:count]
 
 
+def _first_nodal(config, k_max):
+    """The lowest nodal entry of the spectrum below k_max."""
+    return next(s for s in ws.full_spectrum(config, k_max).entries if s.kind == ws.NODAL)
+
+
 def step_limit_wave(j: int) -> PiecewiseWave:
     """Strong-coupling limit of the j-th ordinary state at rho = 1/2.
 
@@ -48,7 +53,7 @@ def _composed_value(w, x):
 class TestBuildWave:
     def test_nodal_is_pure_sine(self):
         cfg = _exact(2, 5, 0.7)
-        state = ws.enumerate_nodal(cfg.rational, 6.0 * math.pi)[0]
+        state = _first_nodal(cfg, 6.0 * math.pi)
         w = ws.build_wave(state, cfg)
         assert w.kind == NODAL_WAVE
         for x in (0.1, 0.25, 0.33, 0.4, 0.77):
@@ -98,6 +103,13 @@ class TestBuildWave:
         with pytest.raises(ws.InconsistentState):
             ws.build_wave(bad, cfg)
 
+    @pytest.mark.parametrize("other", [_gen(0.4, 0.7), _exact(1, 3, 0.7)], ids=["generic", "one_third"])
+    def test_nodal_state_of_another_configuration_rejected(self, other):
+        # the nodal level 5 pi of 2/5 has a nonzero weight at the float 0.4 and at 1/3
+        state = _first_nodal(_exact(2, 5, 0.7), 6.0 * math.pi)
+        with pytest.raises(ws.InconsistentState, match="nodal"):
+            ws.build_wave(state, other)
+
     def test_marginal_state_rejected(self):
         cfg = _exact(1, 2, 0.5)
         g = ws.EigenState(ws.ORDINARY_POSITIVE, 0.0, 0.0, 0.0)  # the zero-energy state is ordinary negative
@@ -145,7 +157,7 @@ class TestEvaluate:
         nodal_cfg = _exact(2, 5, 0.7)
         strong = _gen(0.3, 9.9e-5)
         cases = [
-            (nodal_cfg, ws.enumerate_nodal(nodal_cfg.rational, 6.0 * math.pi)[0]),
+            (nodal_cfg, _first_nodal(nodal_cfg, 6.0 * math.pi)),
             (strong, ws.full_spectrum(strong, 0.0).entries[0]),
         ]
         for cfg in (_gen(0.37, 0.7), _gen(0.3, 0.1), _exact(1, 2, -0.2)):
@@ -232,7 +244,7 @@ class TestJunctionForm:
 class TestMatching:
     def test_nodal_defects_vanish(self):
         cfg = _exact(1, 3, 0.4)
-        state = ws.enumerate_nodal(cfg.rational, 7.0 * math.pi)[0]
+        state = _first_nodal(cfg, 7.0 * math.pi)
         cont, jump = ws.matching_defect(ws.build_wave(state, cfg), cfg)
         assert cont < 1e-13
         assert jump < 1e-9
@@ -303,7 +315,7 @@ class TestInnerProduct:
 class TestSymmetryAndLimits:
     def test_nodal_odd_about_center(self):
         cfg = _exact(1, 2, 0.3)
-        w = ws.build_wave(ws.enumerate_nodal(cfg.rational, 5.0 * math.pi)[0], cfg)
+        w = ws.build_wave(_first_nodal(cfg, 5.0 * math.pi), cfg)
         for d in (0.1, 0.2, 0.31):
             assert ws.evaluate(w, 0.5 + d) == pytest.approx(-ws.evaluate(w, 0.5 - d), abs=1e-12)
 
@@ -319,7 +331,7 @@ class TestSymmetryAndLimits:
 
     def test_step_limit_orthogonal_to_nodal(self):
         cfg = _exact(1, 2, 1e-6)
-        wn = ws.build_wave(ws.enumerate_nodal(cfg.rational, 5.0 * math.pi)[0], cfg)
+        wn = ws.build_wave(_first_nodal(cfg, 5.0 * math.pi), cfg)
         assert abs(ws.inner_product(step_limit_wave(1), wn)) < 1e-12
 
     def test_strong_limit_even_about_center(self):
