@@ -65,7 +65,15 @@ def _entry_dict(s: spectrum.EigenState, config: DimensionlessConfig) -> dict:
     return d
 
 
+def _finite_coupling(flag: str, f: float) -> float:
+    """f, once it is finite; the library's free-well sentinel f = +-inf would print Infinity, which is not JSON."""
+    if not math.isfinite(f):
+        raise ValueError(f"{flag} must be a finite coupling, got {f}")
+    return f
+
+
 def _parse_rho_flags(args) -> DimensionlessConfig:
+    _finite_coupling("--f", args.f)
     if args.rho is not None:
         p_str, _, n_str = args.rho.partition("/")
         try:
@@ -145,7 +153,7 @@ def cmd_dispersion_curve(args) -> int:
 
 
 def cmd_sweep_ground(args) -> int:
-    f_list = [float(tok) for tok in args.f_list.split(",") if tok]
+    f_list = [_finite_coupling("--f-list", float(tok)) for tok in args.f_list.split(",") if tok]
     if not f_list:
         raise ValueError(f"--f-list must name at least one coupling, got {args.f_list!r}")
     if args.rho_steps < 1:

@@ -94,11 +94,14 @@ def _rhs_negative_and_slope(kappaL, rho) -> tuple[np.ndarray, np.ndarray]:
     The slope is taken from the exponentials themselves, which keeps it
     accurate where it is subnormal.
     """
-    t, rho = np.asarray(kappaL, dtype=float), np.asarray(rho, dtype=float)
-    x, y = 2.0 * t * rho, 2.0 * t * (1.0 - rho)
-    a, b, c = -np.expm1(-x), -np.expm1(-y), -np.expm1(-2.0 * t)
+    t = np.asarray(kappaL, dtype=float)
+    rho = np.asarray(rho, dtype=float) if np.ndim(rho) else float(rho)
+    rho1 = 1.0 - rho
+    t2 = 2.0 * t
+    nx, ny, nz = t2 * -rho, t2 * -rho1, -t2  # -x, -y and -2 t
+    a, b, c = -np.expm1(nx), -np.expm1(ny), -np.expm1(nz)
     value = a * b / c
-    slope = (2.0 * rho * np.exp(-x) * b + 2.0 * (1.0 - rho) * np.exp(-y) * a - 2.0 * np.exp(-2.0 * t) * value) / c
+    slope = (2.0 * rho * np.exp(nx) * b + 2.0 * rho1 * np.exp(ny) * a - 2.0 * np.exp(nz) * value) / c
     return value, slope
 
 
@@ -131,22 +134,23 @@ def solve_brackets(fn, lo, hi, lo_sign, x0=math.nan) -> np.ndarray:
     ``fn`` has the opposite sign just inside hi[i].  The given endpoints are
     never evaluated, so a bracket may end on a pole, or on a rounded multiple
     of pi where ``fn`` rounds to the wrong sign.  An empty bracket,
-    lo[i] == hi[i], holds a root known in advance and returns lo[i].
+    lo[i] == hi[i], holds a root known in advance: it is set aside before the
+    first pass, never evaluated, and returns lo[i].
 
     The first iterate of bracket i is ``x0[i]`` (a scalar or one entry per
     bracket) when it lies strictly inside (lo[i], hi[i]), and the midpoint
     otherwise: a start on an end, outside, NaN or infinite is not used.  Each
     pass evaluates every open bracket at its iterate and narrows the bracket
-    by the sign; an exact zero closes it.  A Newton point past an end is
-    clipped into [lo + tol, hi - tol], so a root within rounding of the end
-    is probed just inside it rather than approached by halving; the clip
-    only places the probe and never closes a bracket.  The next iterate is
-    the Newton point when it lies inside the bracket and its step is at most
-    half the step before last (the safeguard of Numerical Recipes'
-    ``rtsafe``).  Otherwise the iterate moves from the end it just set toward
-    the other end: by twice the step right after a Newton step, so that a
-    stall at the rounding floor straddles the root, and to the midpoint
-    after that.
+    by the sign; an exact zero closes it.  The next iterate is the Newton
+    point when its step heads toward the root, away from the end the iterate
+    just set, and is at most half the step before last (the safeguard of
+    Numerical Recipes' ``rtsafe``).  Such a point past the far end is clipped
+    into [lo + tol, hi - tol], so a root within rounding of that end is
+    probed just inside it rather than approached by halving; the clip only
+    places the probe and never closes a bracket.  Otherwise the iterate
+    moves from the end it just set toward the other end: by twice the step
+    right after a Newton step, so that a stall at the rounding floor
+    straddles the root, and to the midpoint after that.
 
     With tol = 4 eps max(1, |x|), a bracket is done once its width or its
     Newton step is within tol; the root is then the midpoint, or the Newton
@@ -155,66 +159,67 @@ def solve_brackets(fn, lo, hi, lo_sign, x0=math.nan) -> np.ndarray:
     bisected from the ends its iterates set, stepping out from the failed
     side by doubling distances first, so bisection stays the safeguard.
     """
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    sign0 = np.broadcast_to(np.asarray(lo_sign, dtype=float), lo.shape)
-    out = np.empty(lo.size)
-    idx, sign = np.arange(lo.size), sign0
-    x = np.broadcast_to(np.asarray(x0, dtype=float), lo.shape)
+    out = np.array(lo, dtype=float)  # the roots; an empty bracket's is its lo
+    lo_end, hi_end = out.copy(), np.array(hi, dtype=float)  # the narrowed brackets, for the certificate
+    sign0 = np.full(out.shape, lo_sign, dtype=float)
+    idx = np.flatnonzero(out != hi_end)
+    lo, hi, sign = out[idx], hi_end[idx], sign0[idx]  # private copies, narrowed in place
+    x = np.full(out.shape, x0, dtype=float)[idx]
     x = np.where((x > lo) & (x < hi), x, 0.5 * (lo + hi))
     last = before = hi - lo  # sizes of the last two steps
-    found = []  # (idx, root, lo, hi) of the Newton roots
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_MAX_PASSES):
             if not idx.size:
                 break
             v, dv = fn(x, idx)
             vs = v * sign
-            lo = np.where(vs >= 0.0, x, lo)
-            hi = np.where(vs > 0.0, hi, x)
-            step = -v / dv
+            down = ~(vs > 0.0)  # x is the new hi: the root lies below it, or fn is NaN there
+            np.putmask(lo, vs >= 0.0, x)
+            np.putmask(hi, down, x)
+            step = v / dv  # the Newton point is x - step
             size = np.abs(step)
+            # a Newton step back across the end x just set would only probe x again, clipped
+            take = (size <= 0.5 * before) & (vs * step <= 0.0)
             tol = 4.0 * _EPS * np.maximum(1.0, np.abs(x))
-            xn = x + step
-            done = (size <= tol) | (hi - lo <= tol)
-            if done.any():
-                l, h, t = lo[done], hi[done], tol[done]
-                found.append((idx[done], np.where(h - l <= t, 0.5 * (l + h), np.clip(xn[done], l, h)), l, h))
-                keep = ~done
-                idx, sign, x, lo, hi, xn, size, tol, vs, last, before = (
-                    a[keep] for a in (idx, sign, x, lo, hi, xn, size, tol, vs, last, before)
+            xn = x - step
+            width = hi - lo
+            done = np.fmin(size, width) <= tol  # fmin: a NaN step counts as none
+            if np.count_nonzero(done):
+                d, keep = np.flatnonzero(done), np.flatnonzero(~done)
+                j, l, h, t = idx[d], lo[d], hi[d], tol[d]
+                out[j] = np.where(width[d] <= t, 0.5 * (l + h), np.minimum(np.maximum(xn[d], l), h))
+                lo_end[j], hi_end[j] = l, h
+                idx, sign, x, lo, hi, xn, size, take, tol, down, width, last = (
+                    a[keep] for a in (idx, sign, x, lo, hi, xn, size, take, tol, down, width, last)
                 )
-            xn = np.clip(xn, lo + tol, hi - tol)  # a Newton point past an end probes just inside it
+            xn = np.minimum(np.maximum(xn, lo + tol), hi - tol)  # a Newton point past the far end probes just inside it
             # on a bracket narrower than 2 tol the clip may round onto an end, which is never evaluated
-            take = (size <= 0.5 * before) & (xn > lo) & (xn < hi)
-            half = 0.5 * (hi - lo)
+            take &= (xn > lo) & (xn < hi)
+            half = 0.5 * width
             move = np.fmin(2.0 * np.fmax(size, last), half)  # fmax: a NaN step counts as none
-            x = np.where(take, xn, x + np.where(vs > 0.0, move, -move))
+            np.putmask(move, down, -move)
+            x = np.where(take, xn, x + move)
             before, last = last, np.where(take, size, half)
         else:
-            found.append((idx, 0.5 * (lo + hi), lo, hi))  # unconverged: left to the certificate
-    if not found:
-        return out
-    idx, root, lo, hi = (np.concatenate(a) for a in zip(*found))
-    order = np.argsort(idx)
-    idx, root, lo, hi = idx[order], root[order], lo[order], hi[order]
-    out[idx] = root
+            out[idx], lo_end[idx], hi_end[idx] = 0.5 * (lo + hi), lo, hi  # unconverged: left to the certificate
 
-    # the certificate evaluates root -+ tol where it lies inside the narrowed bracket
-    tol = 4.0 * _EPS * np.maximum(1.0, np.abs(root))
-    pts = np.stack((root - tol, root + tol), axis=1)
-    inside = np.stack((pts[:, 0] > lo, pts[:, 1] < hi), axis=1)
-    at = np.repeat(idx, 2)[inside.ravel()]
+    # the certificate evaluates root -+ tol where it lies inside the narrowed bracket, so never in an empty one
+    tol = 4.0 * _EPS * np.maximum(1.0, np.abs(out))
+    pts = np.stack((out - tol, out + tol), axis=1)
+    inside = (pts > lo_end[:, None]) & (pts < hi_end[:, None])
+    at = np.flatnonzero(inside) >> 1  # the bracket of each point inside, ascending
     side = np.zeros(pts.shape)
-    side[inside] = fn(pts[inside], at)[0] * sign0[at]
+    if at.size:
+        side[inside] = fn(pts[inside], at)[0] * sign0[at]
     down = ~(side[:, 0] >= 0.0)  # root - tol lies past the root (or fn is NaN there)
     up = ~down & ~(side[:, 1] <= 0.0)  # root + tol lies short of it
     failed = down | up
-    if not failed.any():
+    if not np.count_nonzero(failed):
         return out
-    hi = np.where(down, pts[:, 0], hi)[failed]
-    lo = np.where(up, pts[:, 1], lo)[failed]
-    idx, down, reach, sign = idx[failed], down[failed], 2.0 * tol[failed], sign0[idx[failed]]
+    hi = np.where(down, pts[:, 0], hi_end)[failed]
+    lo = np.where(up, pts[:, 1], lo_end)[failed]
+    idx = np.flatnonzero(failed)
+    down, reach, sign = down[idx], 2.0 * tol[idx], sign0[idx]
     for _ in range(_MAX_PASSES):
         mid = 0.5 * (lo + hi)
         narrow = hi - lo <= 4.0 * _EPS * np.maximum(1.0, np.abs(mid))
@@ -284,7 +289,8 @@ def _brackets(rho, f, level, u):
     above the lower end m pi, and the root of a coupled level l lies there.
     It starts at the weak-coupling root beside l pi.
 
-    Level 1 of a coupling f > 0 is decided here alone.  Below the threshold
+    Level 1 of a coupling f > 0 is decided here alone, and only a table that
+    holds one pays for it.  Below the threshold
     fc = 2 rho (1 - rho) it owns the bound root, x in (-4 max(1, 1/f), -1e-9)
     with lower sign +1, started at -``_lowest_start``.  Above fc its root in
     (0, pi) starts at the lesser of that start and the weak root, as near the
@@ -294,18 +300,21 @@ def _brackets(rho, f, level, u):
     and level 1 at f == fc at x = 0, the zero-energy state.  ``rho``, ``f``,
     ``level`` and ``u`` broadcast together.
     """
-    fc = _threshold_coupling(rho)
     below = level - (f > 0.0)  # the free-well level at the lower end
+    lo, hi, sign = below * math.pi, (below + 1) * math.pi, 1.0 - 2.0 * (below % 2)
+    x0, known, root = _weak_root(level, u, f), decoupled(u, f, level), level * math.pi
     first = below == 0  # level 1 of f > 0
-    binds = first & (f < fc)
-    zero = first & (f == fc)
-    lo = np.where(binds, -4.0 * np.maximum(1.0, 1.0 / f), below * math.pi)
-    hi = np.where(binds, -1e-9, (below + 1) * math.pi)
-    sign = np.where(binds, 1.0, 1.0 - 2.0 * (below % 2))
-    start, weak = _lowest_start(rho, f), _weak_root(level, u, f)
-    x0 = np.where(binds, -start, np.where(first, np.minimum(start, weak), weak))
-    known = zero | decoupled(u, f, level) & ~binds
-    root = np.where(zero, 0.0, level * math.pi)
+    if np.any(first):
+        fc = _threshold_coupling(rho)
+        binds = first & (f < fc)
+        zero = first & (f == fc)
+        lo = np.where(binds, -4.0 * np.maximum(1.0, 1.0 / f), lo)
+        hi = np.where(binds, -1e-9, hi)
+        sign = np.where(binds, 1.0, sign)
+        start = _lowest_start(rho, f)
+        x0 = np.where(binds, -start, np.where(first, np.minimum(start, x0), x0))
+        known = zero | known & ~binds
+        root = np.where(zero, 0.0, root)
     return np.where(known, root, lo), np.where(known, root, hi), sign, x0
 
 
@@ -325,7 +334,7 @@ def _table_residual(rho, f, lo):
     def fn(x, idx):
         value, slope = g(x, idx)
         neg = x < 0.0
-        if neg.any():
+        if np.count_nonzero(neg):
             j, t = idx[neg], -x[neg]
             rhs, drhs = _rhs_negative_and_slope(t, pick(rho, j))
             value[neg], slope[neg] = pick(f, j) * t - rhs, drhs - pick(f, j)

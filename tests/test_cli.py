@@ -230,6 +230,19 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "k_max must be non-negative and finite, got inf" in captured.err
 
+    @pytest.mark.parametrize("argv", [["spectrum", "--format", "json"], ["spectrum"], ["check"]], ids=" ".join)
+    @pytest.mark.parametrize("f", ["inf", "-inf"])
+    def test_non_finite_coupling_is_usage_error(self, argv, f, capsys):
+        # f = +-inf is the library's free-well sentinel; let through, it printed "f": Infinity, which is not JSON
+        assert main([*argv, "--rho-real", "0.3", f"--f={f}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"--f must be a finite coupling, got {f}" in captured.err
+
+    def test_sweep_non_finite_coupling_is_usage_error(self, capsys):
+        assert main(["sweep-ground", "--f-list", "0.1,inf", "--rho-steps", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--f-list must be a finite coupling, got inf" in captured.err
+
     @pytest.mark.parametrize("kmax", ["inf", "-inf", "nan", "-1"])
     def test_dispersion_curve_kmax_outside_range_is_usage_error(self, kmax, capsys):
         assert main(["dispersion-curve", "--rho", "2/5", f"--kmax={kmax}"]) == 2

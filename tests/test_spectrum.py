@@ -531,6 +531,91 @@ class TestSolveBrackets:
         assert abs(root[0] - r) <= 4.0 * EPS
         assert all(np.all((x > 0.0) & (x < 1.0)) for x in xs)  # the ends are never evaluated
 
+    def test_newton_step_back_across_the_new_end_is_not_probed(self):
+        # (x - 0.3)(x - 1.2) on (0, 1) from 0.99: the Newton point 1.29 heads back across hi = 0.99,
+        # which the iterate just set.  Clipped, it probed 0.99 - tol and 0.99 - 2 tol before the
+        # midpoint (10 calls); rejected, the iterate moves to the midpoint at once
+        xs = []
+
+        def fn(x, idx):
+            xs.append(x.copy())
+            return (x - 0.3) * (x - 1.2), 2.0 * x - 1.5
+
+        root = wellspec.spectrum.solve_brackets(fn, [0.0], [1.0], 1.0, 0.99)
+        assert abs(root[0] - 0.3) <= 4.0 * EPS
+        assert len(xs) <= 8
+        iterates = np.sort(np.concatenate([x for x in xs if x.size == 1]))  # the certificate evaluates two
+        assert np.all(np.diff(iterates) > 1e-12)
+
+    @pytest.mark.parametrize(
+        "rho, f, k_over_pi, budget",
+        [(0.524043, -0.00203118, 1170.36, 9), (0.658747, 0.00177253, 91.1914, 9),
+         (0.3, 0.1, 20.0, 6), (0.3, 0.1, 200.0, 6), (0.3, 0.1, 2000.0, 6)],
+    )
+    def test_fn_calls_per_spectrum(self, rho, f, k_over_pi, budget, monkeypatch):
+        # the first two have a Newton step back across a new end (11 calls while it was probed)
+        calls = []
+        solve = wellspec.spectrum.solve_brackets
+
+        def counted(fn, *args):
+            calls.append(0)
+
+            def fn_counted(x, idx):
+                calls[-1] += 1
+                return fn(x, idx)
+
+            return solve(fn_counted, *args)
+
+        monkeypatch.setattr(wellspec.spectrum, "solve_brackets", counted)
+        ws.full_spectrum(_gen(rho, f), k_over_pi * math.pi)
+        assert len(calls) == 1 and calls[0] <= budget
+
+    @staticmethod
+    def _table(cfg, k_over_pi):
+        """The bracket table of full_spectrum(cfg, k_over_pi pi) and its fn."""
+        levels = np.arange(1, int(k_over_pi) + 1 + (cfg.f > 0.0))
+        lo, hi, sign, x0 = wellspec.spectrum._brackets(cfg.rho, cfg.f, levels, ws.coupling(cfg, levels))
+        return wellspec.spectrum._table_residual(cfg.rho, cfg.f, lo), lo, hi, sign, x0
+
+    @pytest.mark.parametrize("cfg, k_over_pi", [(_exact(2, 5, 0.3), 30.5), (_exact(2, 5, -0.3), 30.5),
+                                                (_gen(0.4, 0.35), 30.5), (_exact(1, 2, 0.5), 0.0)], ids=repr)
+    def test_empty_brackets_are_never_evaluated(self, cfg, k_over_pi):
+        # nodal levels, the decoupled level 5 pi of the float 0.4 and the zero-energy state at the
+        # binding threshold hold their roots in advance; a table of nothing else makes no call
+        table, lo, hi, sign, x0 = self._table(cfg, k_over_pi)
+        empty = np.flatnonzero(lo == hi)
+        assert empty.size
+        seen = []
+
+        def fn(x, idx):
+            seen.append(idx.copy())
+            return table(x, idx)
+
+        roots = wellspec.spectrum.solve_brackets(fn, lo, hi, sign, x0)
+        np.testing.assert_array_equal(roots[empty], lo[empty])
+        assert not any(np.isin(idx, empty).any() for idx in seen)
+        assert all(idx.size for idx in seen)
+        assert bool(seen) == (empty.size < lo.size)
+
+    @pytest.mark.parametrize("cfg", [_gen(0.3, 0.1), _exact(2, 5, -0.3)], ids=repr)
+    @pytest.mark.parametrize("slope", [lambda d: d, np.negative], ids=["slope", "negated"])
+    def test_callers_arrays_unchanged_and_idx_ascending(self, cfg, slope):
+        # the solver narrows private copies of lo and hi in place; a negated slope fails the
+        # certificate, so the bisection fallback calls fn too
+        table, lo, hi, sign, x0 = self._table(cfg, 30.5)
+        given = [a.copy() for a in (lo, hi, sign, x0)]
+        seen = []
+
+        def fn(x, idx):
+            seen.append(idx.copy())
+            v, dv = table(x, idx)
+            return v, slope(dv)
+
+        wellspec.spectrum.solve_brackets(fn, lo, hi, sign, x0)
+        for a, b in zip((lo, hi, sign, x0), given):
+            np.testing.assert_array_equal(a, b)
+        assert all(np.all(np.diff(idx) >= 0) for idx in seen)  # the passes', the certificate's and bisection's
+
     @pytest.mark.parametrize(
         "wrong",
         [np.negative, lambda d: 1e15 * d, lambda d: np.full_like(d, np.nan)],
