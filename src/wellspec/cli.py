@@ -211,6 +211,8 @@ def _run_checks(args, config: DimensionlessConfig) -> tuple[dict, bool]:
 
 def cmd_check(args) -> int:
     _check_count(args.count)
+    if not math.isfinite(args.perturb):  # build_wave cannot round an infinite or NaN k to a level
+        raise ValueError(f"--perturb must be finite, got {args.perturb}")
     config = _parse_rho_flags(args)
     checks, ok = _run_checks(args, config)
     for name, c in checks.items():

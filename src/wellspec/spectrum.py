@@ -31,6 +31,7 @@ DEFAULT_K_MAX = 20.0 * math.pi
 _EPS = 2.220446049250313e-16
 _RESIDUAL_TOL = 1e-10  # a root's |g| may be at most this times max(1, |f| kL)
 _MAX_PASSES = 240  # cap on the passes of one solve, and on the bisection steps of its fallback
+_MINUS_PLUS = np.array([-1.0, 1.0])
 _POLE_EPS = 1e-9  # rhs_positive: |sin kL| below this is a pole, or a removable point where the numerator is too
 
 
@@ -74,34 +75,38 @@ def rhs_positive(kL, rho: float):
     removable singularities (shared zeros) are filled with the l'Hopital limit.
     """
     kL = np.asarray(kL, dtype=float)
-    s = np.sin(kL)
-    num = 2.0 * np.sin(kL * rho) * np.sin(kL * (1.0 - rho))
-    dnum = 2.0 * (
-        rho * np.cos(kL * rho) * np.sin(kL * (1.0 - rho)) + (1.0 - rho) * np.sin(kL * rho) * np.cos(kL * (1.0 - rho))
-    )
+    x = kL.ravel()
+    s, sa, sb = np.sin(x), np.sin(x * rho), np.sin(x * (1.0 - rho))
+    num = 2.0 * sa * sb
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(np.abs(s) < _POLE_EPS, np.where(np.abs(num) < _POLE_EPS, dnum / np.cos(kL), np.nan), num / s)
-    return out if out.ndim else float(out)
+        out = num / s
+        pole = np.flatnonzero(np.abs(s) < _POLE_EPS)
+        if pole.size:  # the l'Hopital terms, only where sin(kL) vanishes
+            k = x[pole]
+            dnum = 2.0 * (rho * np.cos(k * rho) * sb[pole] + (1.0 - rho) * sa[pole] * np.cos(k * (1.0 - rho)))
+            out[pole] = np.where(np.abs(num[pole]) < _POLE_EPS, dnum / np.cos(k), np.nan)
+    return out.reshape(kL.shape) if kL.ndim else float(out[0])
 
 
-def _rhs_negative_and_slope(kappaL, rho) -> tuple[np.ndarray, np.ndarray]:
-    """``rhs_negative`` and its slope in kappaL, for t > 0, over arrays of t and rho that broadcast together.
+def _rhs_negative_and_slope(t, rho):
+    """``rhs_negative`` and its slope in kappaL, for t > 0: at floats t and rho, or over arrays that broadcast together.
 
     Factoring e^t out of each sinh gives R = a b / c, with a = 1 - e^(-2 t rho),
     b = 1 - e^(-2 t (1 - rho)) and c = 1 - e^(-2 t), each taken by expm1: no
     term cancels, next to a wall or at small t, and none overflows at any t
     (Higham, Accuracy and Stability of Numerical Algorithms, 2002, sec. 1.14).
     The slope is taken from the exponentials themselves, which keeps it
-    accurate where it is subnormal.
+    accurate where it is subnormal.  The three exponents share one array, so
+    each exponential is one call, and a single point costs a few float
+    operations around two calls.
     """
-    t = np.asarray(kappaL, dtype=float)
-    rho = np.asarray(rho, dtype=float) if np.ndim(rho) else float(rho)
     rho1 = 1.0 - rho
     t2 = 2.0 * t
-    nx, ny, nz = t2 * -rho, t2 * -rho1, -t2  # -x, -y and -2 t
-    a, b, c = -np.expm1(nx), -np.expm1(ny), -np.expm1(nz)
-    value = a * b / c
-    slope = (2.0 * rho * np.exp(nx) * b + 2.0 * rho1 * np.exp(ny) * a - 2.0 * np.exp(nz) * value) / c
+    e = np.array((t2 * -rho, t2 * -rho1, -t2))  # -x, -y and -2 t
+    na, nb, nc = np.expm1(e)  # -a, -b and -c
+    ex, ey, ez = np.exp(e)
+    value = na * nb / -nc
+    slope = (2.0 * rho * ex * nb + 2.0 * rho1 * ey * na + 2.0 * ez * value) / nc
     return value, slope
 
 
@@ -153,18 +158,23 @@ def solve_brackets(fn, lo, hi, lo_sign, x0=math.nan) -> np.ndarray:
     straddles the root, and to the midpoint after that.
 
     With tol = 4 eps max(1, |x|), a bracket is done once its width or its
-    Newton step is within tol; the root is then the midpoint, or the Newton
-    point clipped to the bracket.  A Newton root must show a sign change, or
-    a zero, across root -+ tol.  A bracket that fails this certificate is
-    bisected from the ends its iterates set, stepping out from the failed
-    side by doubling distances first, so bisection stays the safeguard.
+    Newton step is within tol, and leaves the working set with its narrowed
+    ends, its Newton point and tol.  The roots are selected once, after the
+    loop: the midpoint of a bracket within tol, else the Newton point clipped
+    to the bracket; a bracket still open after the last pass gives its
+    midpoint, and an empty one its lo.  A Newton root must show a sign
+    change, or a zero, across root -+ tol.  A bracket that fails this
+    certificate is bisected from the ends its iterates set, stepping out from
+    the failed side by doubling distances first, so bisection stays the
+    safeguard.
     """
-    out = np.array(lo, dtype=float)  # the roots; an empty bracket's is its lo
-    lo_end, hi_end = out.copy(), np.array(hi, dtype=float)  # the narrowed brackets, for the certificate
-    sign0 = np.full(out.shape, lo_sign, dtype=float)
-    idx = np.flatnonzero(out != hi_end)
-    lo, hi, sign = out[idx], hi_end[idx], sign0[idx]  # private copies, narrowed in place
-    x = np.full(out.shape, x0, dtype=float)[idx]
+    lo_end, hi_end = np.array(lo, dtype=float), np.array(hi, dtype=float)  # the narrowed brackets
+    sign0 = np.full(lo_end.shape, lo_sign, dtype=float)
+    idx = np.flatnonzero(lo_end != hi_end)
+    lo, hi, sign = lo_end[idx], hi_end[idx], sign0[idx]  # private copies, narrowed in place
+    # the Newton point and tol of each closed bracket; an empty one keeps its lo as a Newton point never within tol
+    xn_end, tol_end = lo_end.copy(), np.full(lo_end.shape, -np.inf)
+    x = np.full(lo_end.shape, x0, dtype=float)[idx]
     x = np.where((x > lo) & (x < hi), x, 0.5 * (lo + hi))
     last = before = hi - lo  # sizes of the last two steps
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -185,10 +195,9 @@ def solve_brackets(fn, lo, hi, lo_sign, x0=math.nan) -> np.ndarray:
             width = hi - lo
             done = np.fmin(size, width) <= tol  # fmin: a NaN step counts as none
             if np.count_nonzero(done):
-                d, keep = np.flatnonzero(done), np.flatnonzero(~done)
-                j, l, h, t = idx[d], lo[d], hi[d], tol[d]
-                out[j] = np.where(width[d] <= t, 0.5 * (l + h), np.minimum(np.maximum(xn[d], l), h))
-                lo_end[j], hi_end[j] = l, h
+                # every open bracket's state is recorded; one still open is recorded again when it closes
+                lo_end[idx], hi_end[idx], xn_end[idx], tol_end[idx] = lo, hi, xn, tol
+                keep = np.flatnonzero(~done)
                 idx, sign, x, lo, hi, xn, size, take, tol, down, width, last = (
                     a[keep] for a in (idx, sign, x, lo, hi, xn, size, take, tol, down, width, last)
                 )
@@ -201,11 +210,16 @@ def solve_brackets(fn, lo, hi, lo_sign, x0=math.nan) -> np.ndarray:
             x = np.where(take, xn, x + move)
             before, last = last, np.where(take, size, half)
         else:
-            out[idx], lo_end[idx], hi_end[idx] = 0.5 * (lo + hi), lo, hi  # unconverged: left to the certificate
+            lo_end[idx], hi_end[idx], tol_end[idx] = lo, hi, np.inf  # unconverged: left to the certificate
+    # each root, once: the midpoint of a bracket within tol, else the Newton point clipped to the bracket
+    with np.errstate(over="ignore", invalid="ignore"):  # in the branch np.where drops
+        out = np.where(
+            hi_end - lo_end <= tol_end, 0.5 * (lo_end + hi_end), np.minimum(np.maximum(xn_end, lo_end), hi_end)
+        )
 
     # the certificate evaluates root -+ tol where it lies inside the narrowed bracket, so never in an empty one
     tol = 4.0 * _EPS * np.maximum(1.0, np.abs(out))
-    pts = np.stack((out - tol, out + tol), axis=1)
+    pts = out[:, None] + tol[:, None] * _MINUS_PLUS  # root - tol and root + tol, the same bits as out -+ tol
     inside = (pts > lo_end[:, None]) & (pts < hi_end[:, None])
     at = np.flatnonzero(inside) >> 1  # the bracket of each point inside, ascending
     side = np.zeros(pts.shape)
@@ -304,7 +318,7 @@ def _brackets(rho, f, level, u):
     lo, hi, sign = below * math.pi, (below + 1) * math.pi, 1.0 - 2.0 * (below % 2)
     x0, known, root = _weak_root(level, u, f), decoupled(u, f, level), level * math.pi
     first = below == 0  # level 1 of f > 0
-    if np.any(first):
+    if np.count_nonzero(first):
         fc = _threshold_coupling(rho)
         binds = first & (f < fc)
         zero = first & (f == fc)
@@ -328,17 +342,30 @@ def _table_residual(rho, f, lo):
     """
     pick = (lambda a, j: a[j]) if np.ndim(f) else (lambda a, j: a)
     g = lambda x, idx: _residual_and_slope(x, pick(rho, idx), pick(f, idx))
-    if not (lo < 0.0).any():
+    if not np.count_nonzero(lo < 0.0):
         return g
 
-    def fn(x, idx):
-        value, slope = g(x, idx)
-        neg = x < 0.0
-        if np.count_nonzero(neg):
-            j, t = idx[neg], -x[neg]
-            rhs, drhs = _rhs_negative_and_slope(t, pick(rho, j))
-            value[neg], slope[neg] = pick(f, j) * t - rhs, drhs - pick(f, j)
-        return value, slope
+    if np.ndim(f):
+
+        def fn(x, idx):
+            value, slope = g(x, idx)
+            neg = x < 0.0
+            if np.count_nonzero(neg):
+                j, t = idx[neg], -x[neg]
+                rhs, drhs = _rhs_negative_and_slope(t, rho[j])
+                value[neg], slope[neg] = f[j] * t - rhs, drhs - f[j]
+            return value, slope
+
+    else:
+
+        def fn(x, idx):
+            value, slope = g(x, idx)
+            # with one rho and f only level 1 lies below zero: one point a pass, two in the certificate
+            for i in np.flatnonzero(x < 0.0).tolist():
+                t = -x.item(i)
+                rhs, drhs = _rhs_negative_and_slope(t, rho)
+                value[i], slope[i] = f * t - rhs, drhs - f
+            return value, slope
 
     return fn
 
@@ -352,7 +379,7 @@ def _certify(x, rho, f) -> np.ndarray:
     """
     res = np.abs(_residual(x, rho, f))
     neg = x < 0.0
-    if neg.any():
+    if np.count_nonzero(neg):
         t = -x[neg]
         rho_t, f_t = (rho[neg], f[neg]) if np.ndim(f) else (rho, f)
         res[neg] = np.abs(f_t * t - _rhs_negative(t, rho_t))

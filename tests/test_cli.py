@@ -243,6 +243,13 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "--f-list must be a finite coupling, got inf" in captured.err
 
+    @pytest.mark.parametrize("perturb", [["--perturb", "inf"], ["--perturb", "nan"], ["--perturb=-inf"]], ids=" ".join)
+    def test_check_non_finite_perturb_is_usage_error(self, perturb, capsys):
+        # an infinite shift raised OverflowError out of build_wave; NaN's message did not name the flag
+        assert main(["check", "--rho-real", "0.3", "--f", "0.1", *perturb]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"--perturb must be finite, got {perturb[-1].rpartition('=')[2]}" in captured.err
+
     @pytest.mark.parametrize("kmax", ["inf", "-inf", "nan", "-1"])
     def test_dispersion_curve_kmax_outside_range_is_usage_error(self, kmax, capsys):
         assert main(["dispersion-curve", "--rho", "2/5", f"--kmax={kmax}"]) == 2

@@ -5,6 +5,7 @@ standalone fixed-point/bisection script on the scalar transcendental equations,
 not by the package under test, and then pinned here to full precision.
 """
 
+import hashlib
 import math
 import warnings
 from contextlib import contextmanager
@@ -547,6 +548,29 @@ class TestSolveBrackets:
         iterates = np.sort(np.concatenate([x for x in xs if x.size == 1]))  # the certificate evaluates two
         assert np.all(np.diff(iterates) > 1e-12)
 
+    @pytest.mark.parametrize("lo", [0.1, -0.0, 5e-324, -3.0, 1.5e308], ids=repr)
+    def test_empty_bracket_returns_lo_exactly(self, lo):
+        # beside an open bracket, so the passes run; 0.5 (lo + lo) would overflow at 1.5e308
+        root = wellspec.spectrum.solve_brackets(lambda x, idx: (x - 0.3, np.ones_like(x)), [lo, 0.0], [lo, 1.0], -1.0)
+        assert float(root[0]).hex() == float(lo).hex()
+        assert abs(root[1] - 0.3) <= 4.0 * EPS
+
+    def test_bracket_open_after_the_last_pass_returns_its_midpoint(self, monkeypatch):
+        # a NaN slope leaves bisection: (0, 1) narrows to (0.25, 0.375) in three passes.  The
+        # sign change one ulp above the midpoint 0.3125 passes the certificate, which evaluates
+        # the fourth and last call
+        monkeypatch.setattr(wellspec.spectrum, "_MAX_PASSES", 3)
+        c = np.nextafter(0.3125, 1.0)
+        xs = []
+
+        def fn(x, idx):
+            xs.append(x.copy())
+            return x - c, np.full_like(x, np.nan)
+
+        root = wellspec.spectrum.solve_brackets(fn, [0.0], [1.0], -1.0)
+        assert [x.tolist() for x in xs[:3]] == [[0.5], [0.25], [0.375]] and len(xs) == 4
+        assert root[0] == 0.3125
+
     @pytest.mark.parametrize(
         "rho, f, k_over_pi, budget",
         [(0.524043, -0.00203118, 1170.36, 9), (0.658747, 0.00177253, 91.1914, 9),
@@ -985,6 +1009,102 @@ class TestOneSolve:
         # every bracket, the points next to the threshold included, is done within 10 passes
         passes = calls[0][5]
         assert passes.max() <= 10
+
+
+def _transcendentals_fingerprint():
+    """A digest of numpy's sin, cos, exp and expm1 over 97 points: the roundings the pinned bits rest on."""
+    x = np.linspace(-40.0, 40.0, 97)
+    return hashlib.sha256(b"".join(fn(x).tobytes() for fn in (np.sin, np.cos, np.exp, np.expm1))).hexdigest()[:16]
+
+
+@pytest.mark.skipif(
+    _transcendentals_fingerprint() != "b9e9f63978b70e9f",
+    reason="numpy's sin, cos, exp or expm1 round differently here from where the bits were pinned",
+)
+class TestPinnedBits:
+    # float.hex of solver outputs: a change to the solver's bookkeeping must keep every bit
+    TABLES = {
+        (_gen(0.3183, 0.1), 4.5): [
+            ("ordinary_negative", "0x1.3f7182713f1d9p+3", "-0x1.8e9c156aa5bcap+6", "0x0.0p+0"),
+            ("ordinary_positive", "0x1.3dbbc43ddb30fp+2", "0x1.8a5a8db979a43p+4", "0x1.e000000000000p-51"),
+            ("ordinary_positive", "0x1.2c628f14deb99p+3", "0x1.6077254ac5f5cp+6", "0x1.8c00000000000p-51"),
+            ("ordinary_positive", "0x1.707784d1e7dfap+3", "0x1.092bead41d58dp+7", "0x1.4000000000000p-51"),
+        ],
+        (_gen(0.3183, -0.7), 4.5): [
+            ("ordinary_positive", "0x1.ce5d0bb038208p+1", "0x1.a189fc00c4936p+3", "0x1.0000000000000p-52"),
+            ("ordinary_positive", "0x1.a9c507cfe705cp+2", "0x1.620fe5caa9a3dp+5", "0x1.8000000000000p-50"),
+            ("ordinary_positive", "0x1.2dca0614fdf63p+3", "0x1.63c4b1baf67abp+6", "0x1.7c00000000000p-50"),
+            ("ordinary_positive", "0x1.96126a8adce56p+3", "0x1.420f35a1ce42fp+7", "0x1.e000000000000p-49"),
+        ],
+        (_gen(0.61, 50.0), 3.5): [
+            ("ordinary_positive", "0x1.90acb40a61954p+1", "0x1.398e13916ec21p+3", "0x1.f000000000000p-46"),
+            ("ordinary_positive", "0x1.91f5571e2268bp+2", "0x1.3b914306228fbp+5", "0x1.b600000000000p-45"),
+            ("ordinary_positive", "0x1.2d8ec463c9862p+3", "0x1.633909711d41fp+6", "0x1.3380000000000p-43"),
+        ],
+        (_exact(2, 5, 0.3), 10.5): [
+            ("ordinary_negative", "0x1.777db6a65cacfp+1", "-0x1.1360c56ba2251p+3", "0x1.0000000000000p-53"),
+            ("ordinary_positive", "0x1.7d1e3b6c4bfa2p+2", "0x1.1bb180392aa9bp+5", "0x1.8000000000000p-51"),
+            ("ordinary_positive", "0x1.2544a121f2004p+3", "0x1.4ff62b3db368ep+6", "0x1.8000000000000p-52"),
+            ("ordinary_positive", "0x1.83191db0ed9e3p+3", "0x1.24aa791ddf362p+7", "0x1.8000000000000p-50"),
+            ("nodal", "0x1.f6a7a2955385ep+3", "0x1.ed7aefb394d2bp+7", "0x0.0p+0"),
+            ("ordinary_positive", "0x1.285667bc11295p+4", "0x1.5707ed0cc413fp+8", "0x1.4000000000000p-50"),
+            ("ordinary_positive", "0x1.5e3b4712945f0p+4", "0x1.df262410a3ff7p+8", "0x1.0000000000000p-48"),
+            ("ordinary_positive", "0x1.909efdc38619bp+4", "0x1.39789de09dfafp+9", "0x1.9800000000000p-48"),
+            ("ordinary_positive", "0x1.c104591234b58p+4", "0x1.89c82042623a0p+9", "0x1.0000000000000p-48"),
+            ("nodal", "0x1.f6a7a2955385ep+4", "0x1.ed7aefb394d2bp+9", "0x0.0p+0"),
+        ],
+        (_exact(2, 5, -0.3), 10.5): [
+            ("ordinary_positive", "0x1.0ecf9c465608cp+2", "0x1.1e7a9602769f6p+4", "0x1.0000000000000p-52"),
+            ("ordinary_positive", "0x1.a8fbfc1a0a235p+2", "0x1.60c1d58f4a741p+5", "0x1.4000000000000p-51"),
+            ("ordinary_positive", "0x1.3492e24e982bep+3", "0x1.73f1c4d407de0p+6", "0x1.0000000000000p-52"),
+            ("ordinary_positive", "0x1.a102c1ed249ddp+3", "0x1.53a4fde715f31p+7", "0x1.c000000000000p-49"),
+            ("nodal", "0x1.f6a7a2955385ep+3", "0x1.ed7aefb394d2bp+7", "0x0.0p+0"),
+            ("ordinary_positive", "0x1.327903b76053ep+4", "0x1.6ee58616e5af6p+8", "0x1.0000000000000p-48"),
+            ("ordinary_positive", "0x1.6190917a32777p+4", "0x1.e85002d6fb51dp+8", "0x1.6000000000000p-48"),
+            ("ordinary_positive", "0x1.938b017ff9a1bp+4", "0x1.3e0f7919c6773p+9", "0x1.6800000000000p-47"),
+            ("ordinary_positive", "0x1.c7ce1877fee4bp+4", "0x1.95c72072f7c2fp+9", "0x1.7000000000000p-47"),
+            ("nodal", "0x1.f6a7a2955385ep+4", "0x1.ed7aefb394d2bp+9", "0x0.0p+0"),
+        ],
+        (_gen(0.4, 0.35), 5.5): [
+            ("ordinary_negative", "0x1.1fe41fdaa9faep+1", "-0x1.43c14ab50a960p+2", "0x1.0000000000000p-52"),
+            ("ordinary_positive", "0x1.7fb41de8f52a5p+2", "0x1.1f8e381c90560p+5", "0x1.c000000000000p-51"),
+            ("ordinary_positive", "0x1.267dc91493ce9p+3", "0x1.52c527a93f882p+6", "0x1.a000000000000p-50"),
+            ("ordinary_positive", "0x1.8528786008bc3p+3", "0x1.27ca021cd8947p+7", "0x1.a000000000000p-49"),
+            ("ordinary_positive", "0x1.f6a7a2955385ep+3", "0x1.ed7aefb394d2bp+7", "0x1.e5271d0744539p-49"),
+        ],
+        (_exact(1, 2, 0.5), 2.5): [
+            ("ordinary_negative", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+            ("nodal", "0x1.921fb54442d18p+2", "0x1.3bd3cc9be45dep+5", "0x0.0p+0"),
+        ],
+    }
+    GROUND_STATES = [
+        "0x1.39e564ed0c976p+3", "0x1.498e6f829d1f6p+3", "0x1.84fa93dc4b9ffp+2",
+        "0x1.78029aef41cb4p+3", "-0x1.1762484269f3bp+1", "0x1.bc69c6552ce6ap+3",
+        "-0x1.b2835e9cfa9a9p+2", "0x1.09a7ef8e551e6p+4", "-0x1.14d06b61d4c63p+3",
+        "0x1.32b65bc267bdcp+4", "-0x1.24b6386a7c20ap+3", "0x1.32b65bc267bdcp+4",
+        "-0x1.14d06b61d4c63p+3", "0x1.09a7ef8e551e6p+4", "-0x1.b2835e9cfa9a7p+2",
+        "0x1.bc69c6552ce6ap+3", "-0x1.1762484269f3ep+1", "0x1.78029aef41cb4p+3",
+        "0x1.84fa93dc4b9ffp+2", "0x1.498e6f829d1f5p+3", "0x1.39e564ed0c976p+3",
+    ]
+    ORACLE = [
+        "0x1.f83243af54b8ep+1", "0x1.24e546329eeb3p+5", "0x1.609dda1372d69p+6",
+        "0x1.305b0f50854b8p+7", "0x1.eb2b610a77200p+7", "0x1.60f02acc0d477p+8",
+        "0x1.de6228224e490p+8", "0x1.3bc85a14343f6p+9",
+    ]
+
+    @pytest.mark.parametrize("cfg, k_over_pi", list(TABLES), ids=repr)
+    def test_full_spectrum_tables(self, cfg, k_over_pi):
+        entries = ws.full_spectrum(cfg, k_over_pi * math.pi).entries
+        got = [(s.kind, s.k.hex(), s.energy.hex(), s.residual.hex()) for s in entries]
+        assert got == self.TABLES[cfg, k_over_pi]
+
+    def test_ground_states_grid(self):
+        # bound, above-threshold and repulsive points, f = 0.3 and -0.3 in turn
+        rho, f = np.linspace(0.02, 0.98, 21), np.where(np.arange(21) % 2 == 0, 0.3, -0.3)
+        assert [float(e).hex() for e in ws.ground_states(rho, f)] == self.GROUND_STATES
+
+    def test_oracle_secular_solve(self):
+        assert [float(e).hex() for e in ws.oracle_spectrum(_gen(0.37, 0.7), 8, 1000)] == self.ORACLE
 
 
 class TestAsymptoticEstimators:
