@@ -18,7 +18,6 @@ from .spectrum import (
     coupling,
     decoupled,
     dispersion_residual,
-    negative_residual,
     full_spectrum,
     ground_states,
     near_wall_energy,

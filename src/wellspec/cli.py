@@ -16,7 +16,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -173,14 +173,15 @@ def cmd_sweep_ground(args) -> int:
 def _run_checks(args, config: DimensionlessConfig) -> tuple[dict, bool]:
     spec = spectrum.full_spectrum(config, args.kmax * math.pi)
     states = spec.entries[: args.count]
-    if args.perturb:
-        states = [
-            spectrum.EigenState(s.kind, s.k + args.perturb, (s.k + args.perturb) ** 2, s.residual)
-            if s.kind == spectrum.ORDINARY_POSITIVE
-            else s
-            for s in states
+    waves = [wavefn.build_wave(s, config) for s in states]
+    if args.perturb:  # move the positive levels' waves off their roots, which the wave checks must detect
+        waves = [
+            replace(w, k=w.k + args.perturb) if s.kind == spectrum.ORDINARY_POSITIVE else w
+            for s, w in zip(states, waves)
         ]
-    waves = [wavefn.build_wave(s, config, check=not args.perturb) for s in states]
+        # the closed-form integrals take sin(2 k T) and sin((a + b) T), T < 1: 2 |k| must be finite
+        if not math.isfinite(2.0 * max((abs(w.k) for w in waves), default=0.0)):
+            raise ValueError(f"--perturb {args.perturb} shifts a wave number past what the checks can integrate")
 
     n_gram = min(len(waves), 12)
     gram = wavefn.gram_matrix(waves[:n_gram])
@@ -211,7 +212,7 @@ def _run_checks(args, config: DimensionlessConfig) -> tuple[dict, bool]:
 
 def cmd_check(args) -> int:
     _check_count(args.count)
-    if not math.isfinite(args.perturb):  # build_wave cannot round an infinite or NaN k to a level
+    if not math.isfinite(args.perturb):  # an infinite or NaN shift leaves no wave number to check
         raise ValueError(f"--perturb must be finite, got {args.perturb}")
     config = _parse_rho_flags(args)
     checks, ok = _run_checks(args, config)
@@ -257,11 +258,11 @@ def _add_rho_f_flags(parser: argparse.ArgumentParser) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads "-1e-3" and "-.5" as values; argparse alone takes only -N and -N.N for negative numbers."""
+    """Reads "-1e-3", "-.5", "-inf" and "-nan" as values; argparse alone takes only -N and -N.N for negative numbers."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\.?\d")  # add_subparsers reuses this class
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)  # add_subparsers reuses this class
 
 
 @functools.cache
@@ -303,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--oracle-m", type=int, default=1000)
     p_check.add_argument("--oracle-rtol", type=float, default=1e-5)
     p_check.add_argument("--oracle-atol", type=float, default=1e-3)
-    p_check.add_argument("--perturb", type=float, default=0.0, help="shift positive roots to self-test the checker")
+    p_check.add_argument("--perturb", type=float, default=0.0, help="shift the waves of positive roots to self-test the checker")
     p_check.add_argument("--out", default=None, help="optional JSON report path")
     p_check.set_defaults(func=cmd_check)
 

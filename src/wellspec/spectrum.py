@@ -1,12 +1,16 @@
 """Spectrum solvers: dispersion relations, asymptotics.
 
-Positive-energy roots come from the entire-function residual
+Every level is one signed root x: kL at energy (kL)^2 for x > 0, and
+-kappa L at energy -(kappa L)^2 for x < 0.  Its residual, written once in
+``_signed_residual``, is the entire function
 
-    g(kL) = f * kL * sin(kL) - 2 * sin(kL*rho) * sin(kL*(1-rho)),
+    g(kL) = f * kL * sin(kL) - 2 * sin(kL*rho) * sin(kL*(1-rho))
 
-which is pole-free, and whose roots interlace the free-well levels m*pi, so
-every level below a ceiling has its own certified bracket.  The pole-ridden
-ratio form is kept only for emitting dispersion-curve data.
+at x >= 0, and the bound form f kappaL - rhs_negative(kappaL) below zero.
+g is pole-free, and its roots interlace the free-well levels m*pi, so
+every level below a ceiling has its own certified bracket.  The solver and
+its certificate read that one function.  The pole-ridden ratio form is kept
+only for emitting dispersion-curve data.
 """
 
 from __future__ import annotations
@@ -60,12 +64,19 @@ class Spectrum:
 
 def dispersion_residual(kL, config: DimensionlessConfig):
     """g(kL); zero exactly at nodal and ordinary positive-energy roots."""
-    return _residual(kL, config.rho, config.f)
+    return _residual_and_slope(kL, config.rho, config.f)[0]
 
 
-def _residual(kL, rho, f):
-    """g(kL) alone, without the slope ``_residual_and_slope`` adds; rho and f may be arrays."""
-    return f * kL * np.sin(kL) - 2.0 * np.sin(kL * rho) * np.sin(kL * (1.0 - rho))
+def _residual_and_slope(kL, rho, f):
+    """g(kL) and its slope g'(kL); rho and f may be arrays.
+
+    The slope differentiates 2 sin(kL rho) sin(kL (1 - rho)) = cos(kL mu) - cos(kL),
+    mu = 1 - 2 rho, which takes two more sines and cosines where the product
+    form would take three.
+    """
+    s, sa, sb = np.sin(kL), np.sin(kL * rho), np.sin(kL * (1.0 - rho))
+    mu = 1.0 - 2.0 * rho
+    return f * kL * s - 2.0 * sa * sb, f * (s + kL * np.cos(kL)) - s + mu * np.sin(kL * mu)
 
 
 def rhs_positive(kL, rho: float):
@@ -110,11 +121,6 @@ def _rhs_negative_and_slope(t, rho):
     return value, slope
 
 
-def _rhs_negative(t, rho):
-    """The value a b / c of ``_rhs_negative_and_slope`` alone, to the same bits, over arrays of t > 0 and rho."""
-    return np.expm1(-2.0 * t * rho) * np.expm1(-2.0 * t * (1.0 - rho)) / -np.expm1(-2.0 * t)
-
-
 def rhs_negative(kappaL: float, rho: float) -> float:
     """2 sinh(kL rho) sinh(kL (1-rho)) / sinh(kL), monotone increasing from 0 to 1; 0 for kL <= 0.
 
@@ -122,12 +128,31 @@ def rhs_negative(kappaL: float, rho: float) -> float:
     ``_rhs_negative_and_slope``).
     """
     t = float(kappaL)
-    return 0.0 if t <= 0.0 else float(_rhs_negative(t, rho))
+    return 0.0 if t <= 0.0 else float(_rhs_negative_and_slope(t, rho)[0])
 
 
-def negative_residual(kappaL: float, config: DimensionlessConfig) -> float:
-    """Scaled negative-energy residual f*kappaL - rhs_negative; zero at the bound root."""
-    return config.f * kappaL - rhs_negative(kappaL, config.rho)
+def _signed_residual(x, rho, f):
+    """The residual of the signed root at the points of the array x, and its slope in x.
+
+    g at x >= 0.  At x = -kappa L < 0, where g is finite too, the bound form
+    f t - rhs_negative(t), t = -x, and its negated slope.  ``rho`` and ``f``
+    are floats, or arrays with one entry per point.  With one rho and f only
+    level 1 lies below zero, one point a pass and two in the certificate, so
+    each is evaluated on floats.
+    """
+    value, slope = _residual_and_slope(x, rho, f)
+    neg = x < 0.0
+    if isinstance(f, np.ndarray):
+        if np.count_nonzero(neg):
+            t, f_t = -x[neg], f[neg]
+            rhs, drhs = _rhs_negative_and_slope(t, rho[neg])
+            value[neg], slope[neg] = f_t * t - rhs, drhs - f_t
+    else:
+        for i in np.flatnonzero(neg).tolist():
+            t = -x.item(i)
+            rhs, drhs = _rhs_negative_and_slope(t, rho)
+            value[i], slope[i] = f * t - rhs, drhs - f
+    return value, slope
 
 
 def solve_brackets(fn, lo, hi, lo_sign, x0=math.nan) -> np.ndarray:
@@ -253,18 +278,6 @@ def solve_brackets(fn, lo, hi, lo_sign, x0=math.nan) -> np.ndarray:
     return out
 
 
-def _residual_and_slope(kL, rho, f):
-    """g(kL) and its slope g'(kL); rho and f may be arrays.
-
-    The slope differentiates 2 sin(kL rho) sin(kL (1 - rho)) = cos(kL mu) - cos(kL),
-    mu = 1 - 2 rho, which takes two more sines and cosines where the product
-    form would take three.
-    """
-    s, sa, sb = np.sin(kL), np.sin(kL * rho), np.sin(kL * (1.0 - rho))
-    mu = 1.0 - 2.0 * rho
-    return f * kL * s - 2.0 * sa * sb, f * (s + kL * np.cos(kL)) - s + mu * np.sin(kL * mu)
-
-
 def _threshold_coupling(rho: float) -> float:
     """Binding threshold 2*rho*(1-rho); a negative root exists iff 0 < f below it."""
     return 2.0 * rho * (1.0 - rho)
@@ -332,57 +345,13 @@ def _brackets(rho, f, level, u):
     return np.where(known, root, lo), np.where(known, root, hi), sign, x0
 
 
-def _table_residual(rho, f, lo):
-    """The ``fn(x, idx)`` of ``solve_brackets`` for a table of brackets, in any order, with lower ends ``lo``.
-
-    g, overwritten at x = -kappa L < 0, where it is finite, by the bound form
-    f t - rhs_negative(t), t = -x, and its negated slope; plain g when no
-    bracket lies below zero.  ``rho`` and ``f`` are scalars, or arrays with
-    one entry per bracket.
-    """
-    pick = (lambda a, j: a[j]) if np.ndim(f) else (lambda a, j: a)
-    g = lambda x, idx: _residual_and_slope(x, pick(rho, idx), pick(f, idx))
-    if not np.count_nonzero(lo < 0.0):
-        return g
-
-    if np.ndim(f):
-
-        def fn(x, idx):
-            value, slope = g(x, idx)
-            neg = x < 0.0
-            if np.count_nonzero(neg):
-                j, t = idx[neg], -x[neg]
-                rhs, drhs = _rhs_negative_and_slope(t, rho[j])
-                value[neg], slope[neg] = f[j] * t - rhs, drhs - f[j]
-            return value, slope
-
-    else:
-
-        def fn(x, idx):
-            value, slope = g(x, idx)
-            # with one rho and f only level 1 lies below zero: one point a pass, two in the certificate
-            for i in np.flatnonzero(x < 0.0).tolist():
-                t = -x.item(i)
-                rhs, drhs = _rhs_negative_and_slope(t, rho)
-                value[i], slope[i] = f * t - rhs, drhs - f
-            return value, slope
-
-    return fn
-
-
 def _certify(x, rho, f) -> np.ndarray:
-    """Absolute residuals at the roots x, each in its own form; raises if any exceeds its tolerance.
+    """Absolute residuals at the roots x, from ``_signed_residual``; raises if any exceeds its tolerance.
 
-    |f t - rhs_negative(t)|, t = -x, below zero; |g(x)| at and above zero,
-    where the tolerance scales by max(1, |f| x).  ``rho`` and ``f`` are
-    scalars, or arrays with one entry per root.
+    The tolerance scales by max(1, |f| x), so by 1 below zero.  ``rho`` and
+    ``f`` are scalars, or arrays with one entry per root.
     """
-    res = np.abs(_residual(x, rho, f))
-    neg = x < 0.0
-    if np.count_nonzero(neg):
-        t = -x[neg]
-        rho_t, f_t = (rho[neg], f[neg]) if np.ndim(f) else (rho, f)
-        res[neg] = np.abs(f_t * t - _rhs_negative(t, rho_t))
+    res = np.abs(_signed_residual(x, rho, f)[0])
     bad = np.flatnonzero(res > _RESIDUAL_TOL * np.maximum(1.0, np.abs(f) * x))
     if bad.size:
         root = float(x[bad[0]])
@@ -434,7 +403,7 @@ def ground_states(rho, f) -> np.ndarray:
     if rejected.any():
         check_coupling(float(f[rejected][0]))
     lo, hi, sign, x0 = _brackets(rho, f, 1, np.sin(np.pi * rho))
-    x = solve_brackets(_table_residual(rho, f, lo), lo, hi, sign, x0)
+    x = solve_brackets(lambda x, idx: _signed_residual(x, rho[idx], f[idx]), lo, hi, sign, x0)
     _certify(x, rho, f)
     return (x * np.abs(x)).reshape(shape)
 
@@ -450,7 +419,7 @@ def full_spectrum(config: DimensionlessConfig, k_max: float = DEFAULT_K_MAX) -> 
     is kept when it lies below k_max.  ``solve_brackets`` solves the whole
     table in one call, with endpoint signs from the interlacing count rather
     than from g at a rounded multiple of pi, and ``_certify`` checks each
-    root in its own form.  The roots come out in level order, which is
+    root in its own form, from the same ``_signed_residual``.  The roots come out in level order, which is
     energy order.  A root has k = |x| and energy x |x|.  It is
     ``ordinary_negative`` where x <= 0, as only level 1 can be, and
     ``nodal``, with residual 0, where the level's weight is exactly 0: a
@@ -465,7 +434,9 @@ def full_spectrum(config: DimensionlessConfig, k_max: float = DEFAULT_K_MAX) -> 
     levels = np.arange(1, m + 1 + (f > 0.0))
     u = coupling(config, levels)
     lo, hi, sign, x0 = _brackets(rho, f, levels, u)
-    x = solve_brackets(_table_residual(rho, f, lo), lo, hi, sign, x0)
+    # with no bracket below zero, g alone: it spares every pass of the solve the search for x < 0
+    residual = _signed_residual if np.count_nonzero(lo < 0.0) else _residual_and_slope
+    x = solve_brackets(lambda x, idx: residual(x, rho, f), lo, hi, sign, x0)
     keep = x <= k_max
     x, nodal = x[keep], u[keep] == 0.0
     res = _certify(x, rho, f)

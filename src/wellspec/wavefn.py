@@ -33,7 +33,7 @@ from .spectrum import (
     coupling,
     decoupled,
     dispersion_residual,
-    negative_residual,
+    rhs_negative,
 )
 
 _CHECK_TOL = 1e-8  # build_wave refuses a residual above this, times max(1, |f| kL) for kL > 0
@@ -124,8 +124,8 @@ def _nodal_wave(k: float, m: int, rho: float) -> PiecewiseWave:
     return PiecewiseWave(NODAL_WAVE, k, rho, amp, amp if m % 2 == 1 else -amp)
 
 
-def build_wave(state: EigenState, config: DimensionlessConfig, check: bool = True) -> PiecewiseWave:
-    """Construct the normalized wave for a certified eigenstate.
+def build_wave(state: EigenState, config: DimensionlessConfig) -> PiecewiseWave:
+    """Construct the normalized wave for a certified eigenstate; raises if the state fails its certificate.
 
     Sign convention: the slope at the left wall is positive, fixing the
     overall phase the dispersion relation leaves free.
@@ -137,9 +137,9 @@ def build_wave(state: EigenState, config: DimensionlessConfig, check: bool = Tru
             raise InconsistentState("the zero-energy state is the ordinary negative one at kappaL = 0")
         m = round(k / math.pi)
         u = coupling(config, m) if k == m * math.pi else None  # the weight of the level k sits on, if any
-        if check and state.kind == NODAL and u != 0.0:
+        if state.kind == NODAL and u != 0.0:
             raise InconsistentState("nodal state is not a level of zero weight of this configuration")
-        if check and state.kind == ORDINARY_POSITIVE:
+        if state.kind == ORDINARY_POSITIVE:
             if abs(float(dispersion_residual(k, config))) > _CHECK_TOL * max(1.0, abs(config.f) * k):
                 raise InconsistentState(f"residual certificate fails at kL={k}")
         if u is not None and decoupled(u, config.f, m):
@@ -156,7 +156,7 @@ def build_wave(state: EigenState, config: DimensionlessConfig, check: bool = Tru
 
     if state.kind == ORDINARY_NEGATIVE:
         kap = state.k
-        if check and abs(negative_residual(kap, config)) > _CHECK_TOL:
+        if abs(config.f * kap - rhs_negative(kap, config.rho)) > _CHECK_TOL:
             raise InconsistentState(f"residual certificate fails at kappaL={kap}")
         junction = 1.0 / math.sqrt(_int_ratio_ratio(kap, kap, rho) + _int_ratio_ratio(kap, kap, 1.0 - rho))
         return PiecewiseWave(EVANESCENT, kap, rho, junction, junction)

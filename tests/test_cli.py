@@ -193,6 +193,29 @@ class TestExitCodes:
         assert main(argv + ["--f", "-1e-3"]) == 0
         assert capsys.readouterr().out == joined
 
+    def test_negative_coupling_without_a_leading_zero(self, capsys):
+        assert main(["spectrum", "--rho-real", "0.3", "--kmax", "6", "--f=-.5"]) == 0
+        joined = capsys.readouterr().out
+        assert main(["spectrum", "--rho-real", "0.3", "--kmax", "6", "--f", "-.5"]) == 0
+        assert capsys.readouterr().out == joined
+
+    NEGATIVE_NON_FINITE = [
+        (["spectrum", "--rho-real", "0.3", "--f", "-inf"], "--f must be a finite coupling, got -inf"),
+        (["check", "--rho-real", "0.3", "--f", "-inf"], "--f must be a finite coupling, got -inf"),
+        (["spectrum", "--rho-real", "0.3", "--f", "-NaN"], "--f must be a finite coupling, got nan"),
+        (["spectrum", "--rho-real", "0.3", "--f", "0.1", "--kmax", "-inf"], "k_max must be non-negative and finite, got -inf"),
+        (["dispersion-curve", "--rho", "2/5", "--kmax", "-inf"], "--kmax must be non-negative and finite, got -inf"),
+        (["check", "--rho-real", "0.3", "--f", "0.1", "--perturb", "-inf"], "--perturb must be finite, got -inf"),
+        (["check", "--rho-real", "0.3", "--f", "0.1", "--perturb", "-Infinity"], "--perturb must be finite, got -inf"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", NEGATIVE_NON_FINITE, ids=[" ".join(a) for a, _ in NEGATIVE_NON_FINITE])
+    def test_negative_non_finite_value_gets_its_flags_message(self, argv, message, capsys):
+        # argparse on its own reads "-inf" and "-nan" as options and exits 2 with "expected one argument"
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
     def test_invalid_position_is_usage_error(self):
         assert main(["spectrum", "--rho", "5/4", "--f", "0.1"]) == 2
 
@@ -331,6 +354,19 @@ class TestExitCodes:
         )
         assert rc == 4
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("perturb", ["1e300", "-1e300"])
+    def test_check_huge_perturb_fails_its_checks(self, perturb, capsys):
+        # the shift is applied to the built waves, so no wave number is squared or rounded to a level
+        assert main(["check", "--rho-real", "0.3", "--f", "0.1", "--perturb", perturb]) == 4
+        assert "FAIL  jump_defect" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("perturb", ["1.7e308", "-1.7e308"])
+    def test_check_perturb_past_the_integrals_is_usage_error(self, perturb, capsys):
+        # sin(2 k T) of the Gram integrals would take an infinite argument
+        assert main(["check", "--rho-real", "0.3", "--f", "0.1", "--perturb", perturb]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"--perturb {float(perturb)} shifts a wave number" in captured.err
 
     def test_check_generic_half_passes(self, capsys):
         # the float 0.5 decouples the even levels; the oracle keeps 4 pi^2, and so must the solver

@@ -269,7 +269,7 @@ class TestBoundState:
         s = _bound(cfg)
         assert s == ws.EigenState(ws.ORDINARY_NEGATIVE, 0.0, 0.0, 0.0)
         assert math.copysign(1.0, s.energy) == 1.0
-        assert ws.negative_residual(s.k, cfg) == 0.0
+        assert cfg.f * s.k - ws.rhs_negative(s.k, cfg.rho) == 0.0
 
     def test_center_strong_attraction(self):
         # independent bisection on tanh(t/2) = 0.1 t: t = 9.999091217152323
@@ -344,7 +344,7 @@ class TestBoundState:
     def test_scaled_residual_certificate(self):
         s = _bound(_gen(0.33, 0.2))
         cfg = _gen(0.33, 0.2)
-        assert abs(ws.negative_residual(s.k, cfg)) <= 1e-10
+        assert abs(cfg.f * s.k - ws.rhs_negative(s.k, cfg.rho)) <= 1e-10
         # the unscaled sinh form vanishes too where it is finite
         t = s.k
         unscaled = cfg.f * t * math.sinh(t) - 2.0 * math.sinh(t * 0.33) * math.sinh(t * 0.67)
@@ -599,7 +599,8 @@ class TestSolveBrackets:
         """The bracket table of full_spectrum(cfg, k_over_pi pi) and its fn."""
         levels = np.arange(1, int(k_over_pi) + 1 + (cfg.f > 0.0))
         lo, hi, sign, x0 = wellspec.spectrum._brackets(cfg.rho, cfg.f, levels, ws.coupling(cfg, levels))
-        return wellspec.spectrum._table_residual(cfg.rho, cfg.f, lo), lo, hi, sign, x0
+        fn = lambda x, idx: wellspec.spectrum._signed_residual(x, cfg.rho, cfg.f)
+        return fn, lo, hi, sign, x0
 
     @pytest.mark.parametrize("cfg, k_over_pi", [(_exact(2, 5, 0.3), 30.5), (_exact(2, 5, -0.3), 30.5),
                                                 (_gen(0.4, 0.35), 30.5), (_exact(1, 2, 0.5), 0.0)], ids=repr)
@@ -930,13 +931,14 @@ class TestFullSpectrum:
 
 
 class TestSignedTable:
-    # Below zero a table solves the bound root in x = -kappa L: its value is
-    # f t - rhs_negative(t) at t = -x, bit for bit, and its slope the negated
-    # slope of that form; at and above zero it is g.
+    # Below zero the residual of the signed root x = -kappa L is f t -
+    # rhs_negative(t) at t = -x, bit for bit, and its slope the negated slope
+    # of that form; at and above zero (-0.0 included) it is g.  One rho and f
+    # take the float path, per-point arrays the array path.
     @staticmethod
-    def _check(table, x, rho, f):
+    def _check(x, rho, f):
+        value, slope = wellspec.spectrum._signed_residual(x, rho, f)
         rho, f = np.broadcast_to(rho, x.shape), np.broadcast_to(f, x.shape)
-        value, slope = table(x, np.arange(x.size))
         neg = x < 0.0
         t = -x[neg]
         want = np.array([b * c - ws.rhs_negative(c, a) for a, b, c in zip(rho[neg], f[neg], t)])
@@ -947,34 +949,29 @@ class TestSignedTable:
         np.testing.assert_array_equal(slope[~neg], dg)
 
     @pytest.mark.parametrize("rho, f", [(0.3, 0.1), (1e-9, 1.9999e-9), (0.5, 0.4999), (0.9204333206212386, 1e-3)])
-    def test_generic_table_is_the_bound_form_below_zero(self, rho, f):
+    def test_float_path_is_the_bound_form_below_zero(self, rho, f):
         rng = np.random.default_rng(3)
-        x = rng.permutation(np.concatenate((-np.geomspace(1e-9, 4.0 / f, 37), np.linspace(0.0, 60.0, 11))))
-        table = wellspec.spectrum._table_residual(rho, f, np.array([-4.0 / f, 0.0]))
-        self._check(table, x, rho, f)
+        x = rng.permutation(np.concatenate((-np.geomspace(1e-9, 4.0 / f, 37), np.linspace(0.0, 60.0, 11), [-0.0])))
+        self._check(x, rho, f)
 
-    def test_array_table_is_the_bound_form_below_zero(self):
-        # per-bracket rho and f, bound and ordinary brackets mixed in any order
+    def test_array_path_is_the_bound_form_below_zero(self):
+        # per-point rho and f, both signs of x mixed in any order
         rng = np.random.default_rng(4)
         n = 64
         rho, f = rng.uniform(1e-6, 1.0 - 1e-6, n), rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 1.0, n)
         x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-9.0, 3.0, n)
-        lo, _, _, _ = wellspec.spectrum._brackets(rho, f, 1, np.sin(np.pi * rho))
-        assert (lo < 0.0).any() and (lo >= 0.0).any()
-        self._check(wellspec.spectrum._table_residual(rho, f, lo), x, rho, f)
-
-    def test_table_without_a_bracket_below_zero_is_g(self):
-        x = np.array([-2.0, 0.5, 3.0])
-        table = wellspec.spectrum._table_residual(0.3, 0.1, np.array([0.0, math.pi]))
-        for got, want in zip(table(x, np.arange(3)), wellspec.spectrum._residual_and_slope(x, 0.3, 0.1)):
-            np.testing.assert_array_equal(got, want)
+        x[:2] = 0.0, -0.0
+        assert (x < 0.0).any() and (x > 0.0).any()
+        self._check(x, rho, f)
 
     def test_certificate_reads_each_form(self):
         cfg = _gen(0.33, 0.2)
         bound, first = ws.full_spectrum(cfg, 2.0 * math.pi).entries
         res = wellspec.spectrum._certify(np.array([-bound.k, first.k]), cfg.rho, cfg.f)
-        assert res[0] == abs(ws.negative_residual(bound.k, cfg)) == bound.residual
+        assert res[0] == abs(cfg.f * bound.k - ws.rhs_negative(bound.k, cfg.rho)) == bound.residual
         assert res[1] == abs(float(ws.dispersion_residual(first.k, cfg))) == first.residual
+        rho, f = np.full(2, cfg.rho), np.full(2, cfg.f)  # per-root rho and f, as ground_states has them
+        np.testing.assert_array_equal(wellspec.spectrum._certify(np.array([-bound.k, first.k]), rho, f), res)
         with pytest.raises(ws.SolverFailure, match="residual"):
             wellspec.spectrum._certify(np.array([-1.0]), cfg.rho, cfg.f)
 

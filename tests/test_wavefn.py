@@ -1,6 +1,7 @@
 """Piecewise eigenfunctions: construction, matching, closed-form integrals."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -261,8 +262,8 @@ class TestMatching:
     def test_perturbed_root_detected(self):
         cfg = _gen(0.29, 0.07)
         s = next(s for s in _first_states(cfg, 8) if s.kind == ws.ORDINARY_POSITIVE)
-        shifted = ws.EigenState(s.kind, s.k + 1e-3, (s.k + 1e-3) ** 2, s.residual)
-        _, jump = ws.matching_defect(ws.build_wave(shifted, cfg, check=False), cfg)
+        w = ws.build_wave(s, cfg)
+        _, jump = ws.matching_defect(replace(w, k=w.k + 1e-3), cfg)  # what check --perturb 1e-3 does
         assert jump > 1e-4
 
 
