@@ -14,11 +14,7 @@ class InconsistentState(ValueError):
 
 
 class SolverFailure(RuntimeError):
-    """A root bracket failed to converge; carries the offending bracket."""
-
-    def __init__(self, message: str, bracket: tuple[float, float] | None = None):
-        super().__init__(message)
-        self.bracket = bracket
+    """A level could not be delivered certified; the message says which and why."""
 
 
 class ConvergenceFailure(SolverFailure):

@@ -354,8 +354,7 @@ def _certify(x, rho, f) -> np.ndarray:
     res = np.abs(_signed_residual(x, rho, f)[0])
     bad = np.flatnonzero(res > _RESIDUAL_TOL * np.maximum(1.0, np.abs(f) * x))
     if bad.size:
-        root = float(x[bad[0]])
-        raise SolverFailure(f"root polish left residual {res[bad[0]]:.3e} at x={root}", (root, root))
+        raise SolverFailure(f"root polish left residual {res[bad[0]]:.3e} at x={float(x[bad[0]])}")
     return res
 
 

@@ -29,14 +29,13 @@ from .spectrum import (
     NODAL,
     ORDINARY_NEGATIVE,
     ORDINARY_POSITIVE,
+    _RESIDUAL_TOL,
     EigenState,
     coupling,
     decoupled,
     dispersion_residual,
     rhs_negative,
 )
-
-_CHECK_TOL = 1e-8  # build_wave refuses a residual above this, times max(1, |f| kL) for kL > 0
 
 OSCILLATORY = "oscillatory"
 EVANESCENT = "evanescent"
@@ -127,6 +126,10 @@ def _nodal_wave(k: float, m: int, rho: float) -> PiecewiseWave:
 def build_wave(state: EigenState, config: DimensionlessConfig) -> PiecewiseWave:
     """Construct the normalized wave for a certified eigenstate; raises if the state fails its certificate.
 
+    The certificate is the solver's: the residual at the signed root x (kL,
+    or -kappa L for the bound state) may be at most
+    ``spectrum._RESIDUAL_TOL`` max(1, |f| x).
+
     Sign convention: the slope at the left wall is positive, fixing the
     overall phase the dispersion relation leaves free.
     """
@@ -140,7 +143,7 @@ def build_wave(state: EigenState, config: DimensionlessConfig) -> PiecewiseWave:
         if state.kind == NODAL and u != 0.0:
             raise InconsistentState("nodal state is not a level of zero weight of this configuration")
         if state.kind == ORDINARY_POSITIVE:
-            if abs(float(dispersion_residual(k, config))) > _CHECK_TOL * max(1.0, abs(config.f) * k):
+            if abs(float(dispersion_residual(k, config))) > _RESIDUAL_TOL * max(1.0, abs(config.f) * k):
                 raise InconsistentState(f"residual certificate fails at kL={k}")
         if u is not None and decoupled(u, config.f, m):
             # the ordinary amplitudes below are of the size of the weight, which is at the rounding floor here
@@ -156,24 +159,12 @@ def build_wave(state: EigenState, config: DimensionlessConfig) -> PiecewiseWave:
 
     if state.kind == ORDINARY_NEGATIVE:
         kap = state.k
-        if abs(config.f * kap - rhs_negative(kap, config.rho)) > _CHECK_TOL:
+        if abs(config.f * kap - rhs_negative(kap, config.rho)) > _RESIDUAL_TOL:  # max(1, |f| x) = 1 at x = -kap
             raise InconsistentState(f"residual certificate fails at kappaL={kap}")
         junction = 1.0 / math.sqrt(_int_ratio_ratio(kap, kap, rho) + _int_ratio_ratio(kap, kap, 1.0 - rho))
         return PiecewiseWave(EVANESCENT, kap, rho, junction, junction)
 
     raise InconsistentState(f"unknown state kind {state.kind!r}")
-
-
-def _left_value(w: PiecewiseWave, x: float) -> float:
-    if w.kind == EVANESCENT:
-        return w.amp_left * _ratio(w.k, x, w.rho)
-    return w.amp_left * math.sin(w.k * x)
-
-
-def _right_value(w: PiecewiseWave, x: float) -> float:
-    if w.kind == EVANESCENT:
-        return w.amp_right * _ratio(w.k, 1.0 - x, 1.0 - w.rho)
-    return w.amp_right * math.sin(w.k * (1.0 - x))
 
 
 def evaluate(wave: PiecewiseWave, x: float) -> float:
@@ -183,22 +174,12 @@ def evaluate(wave: PiecewiseWave, x: float) -> float:
             return 0.0
         raise DomainError(f"x={x} outside the unit well")
     if wave.kind == EVANESCENT:
-        return _left_value(wave, x) if x <= wave.rho else _right_value(wave, x)
+        if x <= wave.rho:
+            return wave.amp_left * _ratio(wave.k, x, wave.rho)
+        return wave.amp_right * _ratio(wave.k, 1.0 - x, 1.0 - wave.rho)
     if x <= wave.rho:
         return wave.amp_left * math.sin(wave.k * x)
     return wave.amp_right * math.sin(wave.k * (1.0 - x))
-
-
-def _left_slope_at_junction(w: PiecewiseWave) -> float:
-    if w.kind == EVANESCENT:
-        return w.amp_left * _kcoth(w.k, w.rho)
-    return w.amp_left * w.k * math.cos(w.k * w.rho)
-
-
-def _right_slope_at_junction(w: PiecewiseWave) -> float:
-    if w.kind == EVANESCENT:
-        return -w.amp_right * _kcoth(w.k, 1.0 - w.rho)
-    return -w.amp_right * w.k * math.cos(w.k * (1.0 - w.rho))
 
 
 def matching_defect(wave: PiecewiseWave, config: DimensionlessConfig) -> tuple[float, float]:
@@ -206,11 +187,13 @@ def matching_defect(wave: PiecewiseWave, config: DimensionlessConfig) -> tuple[f
 
     The jump condition in these units is psi'_+ - psi'_- + (2/f) psi = 0.
     """
-    vl = _left_value(wave, wave.rho)
-    vr = _right_value(wave, wave.rho)
-    continuity = abs(vr - vl)
-    jump = abs(_right_slope_at_junction(wave) - _left_slope_at_junction(wave) + config.lam * vl)
-    return continuity, jump
+    k, a, b, rho = wave.k, wave.amp_left, wave.amp_right, wave.rho
+    if wave.kind == EVANESCENT:  # S(k, T, T) = 1: each side's junction value is its amplitude
+        vl, vr, dl, dr = a, b, a * _kcoth(k, rho), -b * _kcoth(k, 1.0 - rho)
+    else:
+        vl, vr = a * math.sin(k * rho), b * math.sin(k * (1.0 - rho))
+        dl, dr = a * k * math.cos(k * rho), -b * k * math.cos(k * (1.0 - rho))
+    return abs(vr - vl), abs(dr - dl + config.lam * vl)
 
 
 def inner_product(w1: PiecewiseWave, w2: PiecewiseWave) -> float:

@@ -5,14 +5,25 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 import wellspec.cli as cli
 import wellspec.oracle
 import wellspec.spectrum
+import wellspec.wavefn
 from wellspec.cli import RunReport, main
 from wellspec.errors import SolverFailure
+
+
+def _strict_json(text):
+    """json.loads that refuses Infinity, -Infinity and NaN, which are not JSON."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 # Output bytes frozen before the CSV writer was rewritten; the rewrite must reproduce them exactly.
@@ -294,12 +305,12 @@ class TestExitCodes:
 
     def test_solver_failure_exit_3(self, tmp_path, monkeypatch, capsys):
         def boom(*a, **k):
-            raise SolverFailure("no convergence", (1.0, 2.0))
+            raise SolverFailure("no convergence at x=2.5")
 
         monkeypatch.setattr(wellspec.spectrum, "full_spectrum", boom)
         rc = main(["spectrum", "--rho", "1/2", "--f", "0.1", "--out", str(tmp_path / "x.csv")])
         assert rc == 3
-        assert "bracket" in capsys.readouterr().err
+        assert capsys.readouterr().err == "solver failure: no convergence at x=2.5\n"
 
     @pytest.mark.parametrize("f_list", ["0", "nan", "0.1,0"])
     def test_sweep_invalid_coupling_is_usage_error(self, f_list, capsys):
@@ -367,6 +378,53 @@ class TestExitCodes:
         assert main(["check", "--rho-real", "0.3", "--f", "0.1", "--perturb", perturb]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and f"--perturb {float(perturb)} shifts a wave number" in captured.err
+
+    def test_check_out_is_strict_json(self, tmp_path, capsys):
+        # the shift overflows the jump; its value is written as null and its check fails
+        out = tmp_path / "r.json"
+        argv = ["check", "--rho-real", "0.3", "--f", "0.1", "--perturb", "8.9e307", "--out", str(out)]
+        assert main(argv) == 4
+        assert "FAIL  jump_defect: inf" in capsys.readouterr().out
+        checks = _strict_json(out.read_text())["checks"]
+        assert checks["jump_defect"] == {"value": None, "threshold": 1e-8, "ok": False}
+        assert checks["oracle_max_delta"]["ok"] is True
+
+    def test_check_out_matches_stdout(self, tmp_path, capsys):
+        argv = ["check", "--rho-real", "0.3", "--f", "0.1", "--count", "4"]
+        assert main(argv + ["--out", str(tmp_path / "r.json")]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--out", "-"]) == 0
+        assert capsys.readouterr().out.endswith((tmp_path / "r.json").read_text())
+
+    def test_check_without_a_level_is_usage_error(self, capsys):
+        # the repulsive well's lowest level lies above pi
+        assert main(["check", "--rho-real", "0.3", "--f", "-0.1", "--kmax", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "no level lies below --kmax 0.5" in captured.err
+
+    @pytest.mark.parametrize("flag", ["--oracle-rtol", "--oracle-atol"])
+    def test_check_oracle_tolerances_are_fixed(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--rho-real", "0.3", "--f", "0.1", flag, "1e-3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_check_gram_covers_every_wave(self, monkeypatch, capsys):
+        # a norm defect planted in wave 13 must show: the Gram takes every checked wave
+        build, built = wellspec.wavefn.build_wave, []
+
+        def planted(state, config):
+            w = build(state, config)
+            built.append(w)
+            if len(built) == 13:
+                w = replace(w, amp_left=w.amp_left * (1.0 + 1e-6), amp_right=w.amp_right * (1.0 + 1e-6))
+            return w
+
+        monkeypatch.setattr(wellspec.wavefn, "build_wave", planted)
+        assert main(["check", "--rho-real", "0.3", "--f", "0.1", "--count", "14"]) == 4
+        out = capsys.readouterr().out
+        assert len(built) == 14
+        assert "FAIL  gram_max_diag_defect" in out and "FAIL  gram_max_offdiag" not in out
 
     def test_check_generic_half_passes(self, capsys):
         # the float 0.5 decouples the even levels; the oracle keeps 4 pi^2, and so must the solver

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 import wellspec as ws
-from wellspec import wavefn
+from wellspec import spectrum, wavefn
 from wellspec.wavefn import EVANESCENT, NODAL_WAVE, OSCILLATORY, PiecewiseWave
 
 
@@ -44,11 +44,16 @@ def step_limit_wave(j: int) -> PiecewiseWave:
     return PiecewiseWave(OSCILLATORY, k, 0.5, amp, amp)
 
 
-def _composed_value(w, x):
-    """The wave value as the segment helpers give it: the reference for ``evaluate`` on [0, 1]."""
+def _segment_value(w, x):
+    """The wave value from the segment forms of the module docstring, written out: the reference for ``evaluate``."""
     if x == 0.0 or x == 1.0:
         return 0.0
-    return wavefn._left_value(w, x) if x <= w.rho else wavefn._right_value(w, x)
+    amp, u, T = (w.amp_left, x, w.rho) if x <= w.rho else (w.amp_right, 1.0 - x, 1.0 - w.rho)
+    if w.kind != EVANESCENT:
+        return amp * math.sin(w.k * u)
+    if w.k == 0.0:
+        return amp * (u / T)
+    return amp * (math.exp(w.k * (u - T)) * math.expm1(-2.0 * w.k * u) / math.expm1(-2.0 * w.k * T))
 
 
 class TestBuildWave:
@@ -104,6 +109,26 @@ class TestBuildWave:
         with pytest.raises(ws.InconsistentState):
             ws.build_wave(bad, cfg)
 
+    def test_certificate_is_the_solvers_bound(self):
+        # each root moved until its residual is 1e-9 times max(1, |f| x): inside the looser bound 1e-8
+        # once applied here, outside the solver's 1e-10
+        rho, f = 0.3, 0.1
+        cfg = _gen(rho, f)
+        bound, positive = _first_states(cfg, 2)
+        assert bound.kind == ws.ORDINARY_NEGATIVE and positive.kind == ws.ORDINARY_POSITIVE
+        for s in (bound, positive):
+            ws.build_wave(s, cfg)  # the solver's own roots pass
+        k = positive.k + 1e-9 * max(1.0, f * positive.k) / abs(spectrum._residual_and_slope(positive.k, rho, f)[1])
+        kap = bound.k + 1e-9 / abs(f - spectrum._rhs_negative_and_slope(bound.k, rho)[1])
+        moved = [
+            (positive._replace(k=k), ws.dispersion_residual(k, cfg) / max(1.0, f * k)),
+            (bound._replace(k=kap), f * kap - ws.rhs_negative(kap, rho)),
+        ]
+        for s, res in moved:
+            assert 1e-10 < abs(res) < 1e-8
+            with pytest.raises(ws.InconsistentState, match="residual certificate"):
+                ws.build_wave(s, cfg)
+
     @pytest.mark.parametrize("other", [_gen(0.4, 0.7), _exact(1, 3, 0.7)], ids=["generic", "one_third"])
     def test_nodal_state_of_another_configuration_rejected(self, other):
         # the nodal level 5 pi of 2/5 has a nonzero weight at the float 0.4 and at 1/3
@@ -154,7 +179,7 @@ class TestEvaluate:
                 with pytest.raises(ws.DomainError):
                     ws.evaluate(w, x)
 
-    def test_grid_values_match_the_segment_helpers_bitwise(self):
+    def test_grid_values_match_the_segment_forms_bitwise(self):
         nodal_cfg = _exact(2, 5, 0.7)
         strong = _gen(0.3, 9.9e-5)
         cases = [
@@ -169,7 +194,7 @@ class TestEvaluate:
         grid = [i / 1000.0 for i in range(1001)]
         for w in waves:
             got = np.array([ws.evaluate(w, x) for x in grid])
-            ref = np.array([_composed_value(w, x) for x in grid])
+            ref = np.array([_segment_value(w, x) for x in grid])
             assert got.tobytes() == ref.tobytes()
 
     def test_ground_antinode_positive(self):
@@ -258,6 +283,20 @@ class TestMatching:
                 cont, jump = ws.matching_defect(ws.build_wave(s, cfg), cfg)
                 assert cont < 1e-10
                 assert jump < 1e-8
+
+    # (continuity, jump) as float.hex, frozen when each side of the junction was read by its own helper
+    PINNED = [
+        (_gen(0.3, 0.1), 0, EVANESCENT, ("0x0.0p+0", "0x1.8000000000000p-46")),
+        (_gen(0.3, 0.1), 2, OSCILLATORY, ("0x1.0000000000000p-54", "0x1.1000000000000p-45")),
+        (_exact(2, 5, 0.7), None, NODAL_WAVE, ("0x1.f3308ed84728cp-51", "0x1.1d4051a028a9ap-50")),
+    ]
+
+    @pytest.mark.parametrize("cfg, index, kind, want", PINNED, ids=[p[2] for p in PINNED])
+    def test_defects_pinned_bits(self, cfg, index, kind, want):
+        state = _first_nodal(cfg, 6.0 * math.pi) if index is None else _first_states(cfg, index + 1)[index]
+        w = ws.build_wave(state, cfg)
+        assert w.kind == kind
+        assert tuple(v.hex() for v in ws.matching_defect(w, cfg)) == want
 
     def test_perturbed_root_detected(self):
         cfg = _gen(0.29, 0.07)
