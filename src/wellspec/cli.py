@@ -16,7 +16,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -34,20 +33,6 @@ EXIT_CHECK = 4
 DISPERSION_HEADER = ["kL_over_pi", "rhs", "is_pole"]
 SWEEP_HEADER = ["f", "sign", "rho", "E_over_EB"]
 SPECTRUM_HEADER = ["kind", "k_over_pi", "energy", "residual"]
-
-
-@dataclass
-class RunReport:
-    """Machine-readable result of a spectrum or check run."""
-
-    schema: int
-    config: dict
-    k_max: float
-    entries: list = field(default_factory=list)
-    checks: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _config_echo(config: DimensionlessConfig) -> dict:
@@ -72,15 +57,24 @@ def _finite_coupling(flag: str, f: float) -> float:
     return f
 
 
+def _fraction(rho: str) -> tuple[int, int]:
+    """The integers P and N of a ``--rho P/N``."""
+    p_str, _, n_str = rho.partition("/")
+    try:
+        return int(p_str), int(n_str)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"--rho expects P/N, got {rho!r}") from None
+
+
+def _check_kmax(kmax: float) -> None:
+    if not (kmax >= 0.0 and math.isfinite(kmax * math.pi)):  # the library takes k_max = kmax pi
+        raise ValueError(f"--kmax must be non-negative and finite, got {kmax}")
+
+
 def _parse_rho_flags(args) -> DimensionlessConfig:
     _finite_coupling("--f", args.f)
     if args.rho is not None:
-        p_str, _, n_str = args.rho.partition("/")
-        try:
-            p, n = int(p_str), int(n_str)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"--rho expects P/N, got {args.rho!r}")
-        return DimensionlessConfig.exact(p, n, args.f)
+        return DimensionlessConfig.exact(*_fraction(args.rho), args.f)
     return DimensionlessConfig.generic(args.rho_real, args.f)
 
 
@@ -93,9 +87,10 @@ def _emit(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _emit_report(path: str, report: RunReport) -> None:
-    """Write ``report`` as strict JSON through ``_emit``; a non-finite float in it raises ValueError."""
-    _emit(path, json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n")
+def _emit_report(path: str, config: DimensionlessConfig, k_max: float, entries: list, checks: dict) -> None:
+    """Write the versioned run report as strict JSON through ``_emit``; a non-finite float in it raises ValueError."""
+    report = dict(schema=SCHEMA_VERSION, config=_config_echo(config), k_max=k_max, entries=entries, checks=checks)
+    _emit(path, json.dumps(report, indent=2, allow_nan=False) + "\n")
 
 
 def _write_csv(path: str, header: list[str], lines: list[str]) -> None:
@@ -110,6 +105,7 @@ def _check_count(count: int | None) -> None:
 
 def cmd_spectrum(args) -> int:
     _check_count(args.count)
+    _check_kmax(args.kmax)
     config = _parse_rho_flags(args)
     k_max = args.kmax * math.pi
     spec = spectrum.full_spectrum(config, k_max)
@@ -118,32 +114,25 @@ def cmd_spectrum(args) -> int:
         lines = ["%s,%.12g,%.12g,%.12g\n" % (s.kind, s.k / math.pi, s.energy, s.residual) for s in entries]
         _write_csv(args.out, SPECTRUM_HEADER, lines)
     else:
-        report = RunReport(
-            schema=SCHEMA_VERSION,
-            config=_config_echo(config),
-            k_max=k_max,
-            entries=[_entry_dict(s, config) for s in entries],
-        )
-        _emit_report(args.out, report)
+        _emit_report(args.out, config, k_max, [_entry_dict(s, config) for s in entries], {})
     return EXIT_OK
 
 
 def cmd_dispersion_curve(args) -> int:
     if "/" in args.rho:
-        p_str, _, n_str = args.rho.partition("/")
-        rho = reduce_position(int(p_str), int(n_str)).value
+        rho = reduce_position(*_fraction(args.rho)).value
     else:
         rho = float(args.rho)
         if not 0.0 < rho < 1.0:
             raise PositionOutOfRange(f"--rho {args.rho} must lie strictly inside (0, 1)")
-    if not (math.isfinite(args.kmax) and args.kmax >= 0.0):
-        raise ValueError(f"--kmax must be non-negative and finite, got {args.kmax}")
+    _check_kmax(args.kmax)
     if args.samples_per_pi < 1:
         raise ValueError(f"--samples-per-pi must be positive, got {args.samples_per_pi}")
-    rows = int(round(args.kmax * args.samples_per_pi)) + 1
-    too_many = f"--kmax {args.kmax} at --samples-per-pi {args.samples_per_pi} asks for {rows:.3g} rows, too many"
-    if rows > np.iinfo(np.intp).max // 8:  # past this np.arange raises, or wraps the count to an empty array
+    span = args.kmax * args.samples_per_pi  # inf past the float range, which no int holds
+    too_many = f"--kmax {args.kmax} at --samples-per-pi {args.samples_per_pi} asks for {span + 1:.3g} rows, too many"
+    if not span < np.iinfo(np.intp).max // 8:  # past this np.arange raises, or wraps the count to an empty array
         raise ValueError(too_many)
+    rows = int(round(span)) + 1
     try:
         k_over_pi = np.arange(rows) / args.samples_per_pi
     except MemoryError:
@@ -180,15 +169,12 @@ def _run_checks(args, config: DimensionlessConfig) -> tuple[dict, bool]:
     states = spec.entries[: args.count]
     if not states:
         raise ValueError(f"no level lies below --kmax {args.kmax}, so there is nothing to check")
+    if args.oracle_m < max(2, len(states)):  # the oracle's truncation needs 2 rows, and one row per level it solves
+        raise ValueError(
+            f"--oracle-m {args.oracle_m} must be at least 2 and at least the {len(states)} levels"
+            f" checked (--count {args.count})"
+        )
     waves = [wavefn.build_wave(s, config) for s in states]
-    if args.perturb:  # move the positive levels' waves off their roots, which the wave checks must detect
-        waves = [
-            replace(w, k=w.k + args.perturb) if s.kind == spectrum.ORDINARY_POSITIVE else w
-            for s, w in zip(states, waves)
-        ]
-        # the closed-form integrals take sin(2 k T) and sin((a + b) T), T < 1: 2 |k| must be finite
-        if not math.isfinite(2.0 * max((abs(w.k) for w in waves), default=0.0)):
-            raise ValueError(f"--perturb {args.perturb} shifts a wave number past what the checks can integrate")
 
     gram = wavefn.gram_matrix(waves)
     diag = np.diag(gram)
@@ -216,8 +202,7 @@ def _run_checks(args, config: DimensionlessConfig) -> tuple[dict, bool]:
 
 def cmd_check(args) -> int:
     _check_count(args.count)
-    if not math.isfinite(args.perturb):  # an infinite or NaN shift leaves no wave number to check
-        raise ValueError(f"--perturb must be finite, got {args.perturb}")
+    _check_kmax(args.kmax)
     config = _parse_rho_flags(args)
     checks, ok = _run_checks(args, config)
     for name, c in checks.items():
@@ -228,13 +213,7 @@ def cmd_check(args) -> int:
         for c in checks.values():  # a non-finite value is not JSON; its check has failed
             if not math.isfinite(c["value"]):
                 c["value"] = None
-        report = RunReport(
-            schema=SCHEMA_VERSION,
-            config=_config_echo(config),
-            k_max=args.kmax * math.pi,
-            checks=checks,
-        )
-        _emit_report(args.out, report)
+        _emit_report(args.out, config, args.kmax * math.pi, [], checks)
     return EXIT_OK if ok else EXIT_CHECK
 
 
@@ -307,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--count", type=int, default=8)
     p_check.add_argument("--kmax", type=float, default=20.0)
     p_check.add_argument("--oracle-m", type=int, default=1000)
-    p_check.add_argument("--perturb", type=float, default=0.0, help="shift the waves of positive roots to self-test the checker")
     p_check.add_argument("--out", default=None, help="optional JSON report path")
     p_check.set_defaults(func=cmd_check)
 

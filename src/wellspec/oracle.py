@@ -85,11 +85,13 @@ def _tail(matrix: SineBasisMatrix):
 
     def tail(lam):
         z = lam / edge
-        # series of F - 1 and F', exact to rounding where |z| < 1e-4 and the closed forms cancel
-        f = 1.0 + z * (1.0 / 3.0 + z * (0.2 + z / 7.0))
-        df = 1.0 / 3.0 + z * (0.4 + z * 3.0 / 7.0)
         big = np.abs(z) >= 1e-4
-        if big.any():
+        far = big.any()
+        zs = np.where(big, 0.0, z) if far else z  # the series would overflow at a far z, whose value is replaced
+        # series of F - 1 and F', exact to rounding where |z| < 1e-4 and the closed forms cancel
+        f = 1.0 + zs * (1.0 / 3.0 + zs * (0.2 + zs / 7.0))
+        df = 1.0 / 3.0 + zs * (0.4 + zs * 3.0 / 7.0)
+        if far:
             zb = z[big]
             s = np.sqrt(np.abs(zb))
             with np.errstate(divide="ignore", invalid="ignore"):

@@ -13,7 +13,7 @@ import wellspec.cli as cli
 import wellspec.oracle
 import wellspec.spectrum
 import wellspec.wavefn
-from wellspec.cli import RunReport, main
+from wellspec.cli import main
 from wellspec.errors import SolverFailure
 
 
@@ -168,16 +168,25 @@ class TestDeterminism:
 
 class TestJsonReport:
     def test_round_trip_and_schema(self, tmp_path):
+        # spectrum and check write one report layout: spectrum's checks and check's entries are empty
+        keys = ["schema", "config", "k_max", "entries", "checks"]
         out = tmp_path / "spec.json"
         rc = main(["spectrum", "--rho", "2/5", "--f", "0.01", "--kmax", "7", "--format", "json", "--out", str(out)])
         assert rc == 0
         loaded = json.loads(out.read_text())
-        assert loaded["schema"] == 2
+        assert list(loaded) == keys
+        assert loaded["schema"] == 2 and loaded["checks"] == {}
         assert loaded["config"]["rho_exact"] == {"p": 2, "n": 5}
-        report = RunReport(**loaded)
-        assert report.to_dict() == loaded
         kinds = [e["kind"] for e in loaded["entries"]]
         assert "nodal" in kinds and "ordinary_positive" in kinds
+
+        assert main(["check", "--rho", "2/5", "--f", "0.01", "--count", "4", "--out", str(out)]) == 0
+        loaded = json.loads(out.read_text())
+        assert list(loaded) == keys
+        assert loaded["schema"] == 2 and loaded["entries"] == [] and loaded["k_max"] == 20.0 * math.pi
+        assert list(loaded["checks"]) == [
+            "gram_max_offdiag", "gram_max_diag_defect", "continuity_defect", "jump_defect", "oracle_max_delta"
+        ]
 
     def test_nodal_entries_carry_n_and_j(self, capsys):
         # 4/10 reduces to 2/5: the nodal levels are j n pi, n = 5, each with its n and j after the four fields
@@ -214,10 +223,8 @@ class TestExitCodes:
         (["spectrum", "--rho-real", "0.3", "--f", "-inf"], "--f must be a finite coupling, got -inf"),
         (["check", "--rho-real", "0.3", "--f", "-inf"], "--f must be a finite coupling, got -inf"),
         (["spectrum", "--rho-real", "0.3", "--f", "-NaN"], "--f must be a finite coupling, got nan"),
-        (["spectrum", "--rho-real", "0.3", "--f", "0.1", "--kmax", "-inf"], "k_max must be non-negative and finite, got -inf"),
+        (["spectrum", "--rho-real", "0.3", "--f", "0.1", "--kmax", "-inf"], "--kmax must be non-negative and finite, got -inf"),
         (["dispersion-curve", "--rho", "2/5", "--kmax", "-inf"], "--kmax must be non-negative and finite, got -inf"),
-        (["check", "--rho-real", "0.3", "--f", "0.1", "--perturb", "-inf"], "--perturb must be finite, got -inf"),
-        (["check", "--rho-real", "0.3", "--f", "0.1", "--perturb", "-Infinity"], "--perturb must be finite, got -inf"),
     ]
 
     @pytest.mark.parametrize("argv, message", NEGATIVE_NON_FINITE, ids=[" ".join(a) for a, _ in NEGATIVE_NON_FINITE])
@@ -236,6 +243,13 @@ class TestExitCodes:
     def test_malformed_fraction_is_usage_error(self):
         assert main(["spectrum", "--rho", "half", "--f", "0.1"]) == 2
 
+    @pytest.mark.parametrize("argv", [["spectrum", "--f", "0.1"], ["dispersion-curve"]], ids=" ".join)
+    def test_malformed_fraction_names_the_flag(self, argv, capsys):
+        # one P/N parser for every --rho: dispersion-curve said "invalid literal for int() with base 10: 'x'"
+        assert main([*argv, "--rho", "2/x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--rho expects P/N, got '2/x'" in captured.err
+
     def test_missing_flags_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["spectrum", "--f", "0.1"])
@@ -252,17 +266,25 @@ class TestExitCodes:
         assert main(["dispersion-curve", "--rho", "1/2", "--kmax", "1"]) == 0
         assert capsys.readouterr().out == half
 
+    # the message names the flag and the value typed, not the library's k_max = --kmax pi
     @pytest.mark.parametrize("command", ["spectrum", "check"])
     def test_negative_kmax_is_usage_error(self, command, capsys):
         assert main([command, "--rho-real", "0.3", "--f", "0.1", "--kmax", "-1"]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "k_max must be non-negative" in captured.err
+        assert captured.out == "" and "--kmax must be non-negative and finite, got -1.0" in captured.err
 
     @pytest.mark.parametrize("command", ["spectrum", "check"])
     def test_non_finite_kmax_is_usage_error(self, command, capsys):
         assert main([command, "--rho-real", "0.3", "--f", "0.1", "--kmax", "inf"]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "k_max must be non-negative and finite, got inf" in captured.err
+        assert captured.out == "" and "--kmax must be non-negative and finite, got inf" in captured.err
+
+    @pytest.mark.parametrize("command", ["spectrum", "check"])
+    def test_kmax_past_the_float_range_in_kl_is_usage_error(self, command, capsys):
+        # 1e308 pi overflows to the library's k_max = inf
+        assert main([command, "--rho-real", "0.3", "--f", "0.1", "--kmax", "1e308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--kmax must be non-negative and finite, got 1e+308" in captured.err
 
     @pytest.mark.parametrize("argv", [["spectrum", "--format", "json"], ["spectrum"], ["check"]], ids=" ".join)
     @pytest.mark.parametrize("f", ["inf", "-inf"])
@@ -277,21 +299,15 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "--f-list must be a finite coupling, got inf" in captured.err
 
-    @pytest.mark.parametrize("perturb", [["--perturb", "inf"], ["--perturb", "nan"], ["--perturb=-inf"]], ids=" ".join)
-    def test_check_non_finite_perturb_is_usage_error(self, perturb, capsys):
-        # an infinite shift raised OverflowError out of build_wave; NaN's message did not name the flag
-        assert main(["check", "--rho-real", "0.3", "--f", "0.1", *perturb]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and f"--perturb must be finite, got {perturb[-1].rpartition('=')[2]}" in captured.err
-
     @pytest.mark.parametrize("kmax", ["inf", "-inf", "nan", "-1"])
     def test_dispersion_curve_kmax_outside_range_is_usage_error(self, kmax, capsys):
         assert main(["dispersion-curve", "--rho", "2/5", f"--kmax={kmax}"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "--kmax must be non-negative and finite" in captured.err
 
-    # 2^63 / 400: np.arange wraps 2^63 + 1 samples to an empty array, which printed the header alone
-    @pytest.mark.parametrize("kmax", ["1e300", "2.305843009213694e16"])
+    # 2^63 / 400: np.arange wraps 2^63 + 1 samples to an empty array, which printed the header alone;
+    # 1e307 * 400 overflows to inf, which int() refused with an OverflowError
+    @pytest.mark.parametrize("kmax", ["1e300", "2.305843009213694e16", "1e307"])
     def test_dispersion_curve_too_many_rows_is_usage_error(self, kmax, capsys):
         assert main(["dispersion-curve", "--rho", "2/5", f"--kmax={kmax}"]) == 2
         captured = capsys.readouterr()
@@ -358,36 +374,57 @@ class TestExitCodes:
         assert rc == 3
         assert "outer bracket end" in capsys.readouterr().err
 
-    def test_check_failure_exit_4(self, capsys):
-        rc = main(
-            ["check", "--rho", "1/2", "--f", "-0.2", "--count", "6", "--kmax", "8",
-             "--oracle-m", "600", "--perturb", "1e-3"]
-        )
-        assert rc == 4
-        assert "FAIL" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("perturb", ["1e300", "-1e300"])
-    def test_check_huge_perturb_fails_its_checks(self, perturb, capsys):
-        # the shift is applied to the built waves, so no wave number is squared or rounded to a level
-        assert main(["check", "--rho-real", "0.3", "--f", "0.1", "--perturb", perturb]) == 4
-        assert "FAIL  jump_defect" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("perturb", ["1.7e308", "-1.7e308"])
-    def test_check_perturb_past_the_integrals_is_usage_error(self, perturb, capsys):
-        # sin(2 k T) of the Gram integrals would take an infinite argument
-        assert main(["check", "--rho-real", "0.3", "--f", "0.1", "--perturb", perturb]) == 2
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["--oracle-m", "5"], "--oracle-m 5 must be at least 2 and at least the 8 levels checked (--count 8)"),
+         (["--oracle-m", "1"], "--oracle-m 1 must be at least 2 and at least the 8 levels checked (--count 8)"),
+         (["--count", "2000", "--kmax", "2000"],
+          "--oracle-m 1000 must be at least 2 and at least the 2000 levels checked (--count 2000)")],
+        ids=["oracle-m 5", "oracle-m 1", "count 2000"],
+    )
+    def test_check_oracle_m_below_the_levels_is_usage_error(self, argv, message, capsys):
+        # the oracle's own messages ("count must lie in [1, m]") named no flag
+        assert main(["check", "--rho-real", "0.3", "--f", "0.1", *argv]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and f"--perturb {float(perturb)} shifts a wave number" in captured.err
+        assert captured.out == "" and message in captured.err
 
-    def test_check_out_is_strict_json(self, tmp_path, capsys):
-        # the shift overflows the jump; its value is written as null and its check fails
+    @pytest.mark.parametrize("f", ["1e-154", "1e-120"])
+    def test_check_deep_binding_oracle_warns_nothing(self, f, capsys):
+        # the tail's series overflowed at the Weyl end (-2e157 at f = 1e-154) and leaked a RuntimeWarning;
+        # the exit 3 itself is the oracle's known deep-binding failure
+        assert main(["check", "--rho-real", "0.5", "--f", f]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "outer bracket end" in captured.err
+
+    def test_check_failure_exit_4(self, monkeypatch, capsys):
+        # the positive levels' waves moved 1e-3 off their roots: the Gram and the jump must fail
+        build = wellspec.wavefn.build_wave
+
+        def shifted(state, config):
+            w = build(state, config)
+            return replace(w, k=w.k + 1e-3) if state.kind == wellspec.spectrum.ORDINARY_POSITIVE else w
+
+        monkeypatch.setattr(wellspec.wavefn, "build_wave", shifted)
+        rc = main(["check", "--rho", "1/2", "--f", "-0.2", "--count", "6", "--kmax", "8", "--oracle-m", "600"])
+        assert rc == 4
+        assert capsys.readouterr().out == (
+            "FAIL  gram_max_offdiag: 4.850e-05 (<= 1e-09)\n"
+            "FAIL  gram_max_diag_defect: 4.894e-05 (<= 1e-12)\n"
+            "PASS  continuity_defect: 1.039e-15 (<= 1e-10)\n"
+            "FAIL  jump_defect: 2.453e-02 (<= 1e-08)\n"
+            "PASS  oracle_max_delta: 1.853e-09\n"
+        )
+
+    def test_check_out_is_strict_json(self, tmp_path, monkeypatch, capsys):
+        # an infinite jump is written as null, and its check fails
+        defect = wellspec.wavefn.matching_defect
+        monkeypatch.setattr(wellspec.wavefn, "matching_defect", lambda w, c: (defect(w, c)[0], math.inf))
         out = tmp_path / "r.json"
-        argv = ["check", "--rho-real", "0.3", "--f", "0.1", "--perturb", "8.9e307", "--out", str(out)]
-        assert main(argv) == 4
+        assert main(["check", "--rho-real", "0.3", "--f", "0.1", "--out", str(out)]) == 4
         assert "FAIL  jump_defect: inf" in capsys.readouterr().out
         checks = _strict_json(out.read_text())["checks"]
         assert checks["jump_defect"] == {"value": None, "threshold": 1e-8, "ok": False}
-        assert checks["oracle_max_delta"]["ok"] is True
+        assert checks["continuity_defect"]["ok"] is True and checks["oracle_max_delta"]["ok"] is True
 
     def test_check_out_matches_stdout(self, tmp_path, capsys):
         argv = ["check", "--rho-real", "0.3", "--f", "0.1", "--count", "4"]
@@ -402,7 +439,7 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "no level lies below --kmax 0.5" in captured.err
 
-    @pytest.mark.parametrize("flag", ["--oracle-rtol", "--oracle-atol"])
+    @pytest.mark.parametrize("flag", ["--oracle-rtol", "--oracle-atol", "--perturb"])
     def test_check_oracle_tolerances_are_fixed(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["check", "--rho-real", "0.3", "--f", "0.1", flag, "1e-3"])

@@ -207,6 +207,12 @@ class TestTail:
         fd = (wellspec.oracle._tail(small)(lam + h)[0] - wellspec.oracle._tail(small)(lam - h)[0]) / (2.0 * h)
         assert slope == pytest.approx(fd, rel=1e-5)
 
+    def test_far_outer_end_is_finite(self):
+        # f = 1e-154 puts the Weyl end at -2e157, where the series' z^3 overflows; the closed forms replace it
+        tail = wellspec.oracle._tail(build_matrix(ws.DimensionlessConfig.generic(0.5, 1e-154), 1000))
+        t, dt = tail(np.array([-2e157]))
+        assert np.isfinite(t).all() and np.isfinite(dt).all()
+
     def test_outer_end_sign_is_checked(self):
         # all 10 levels of a repulsive m = 10 truncation: the Weyl end lies past the tail's range
         with pytest.raises(ConvergenceFailure):

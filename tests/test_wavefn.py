@@ -302,7 +302,7 @@ class TestMatching:
         cfg = _gen(0.29, 0.07)
         s = next(s for s in _first_states(cfg, 8) if s.kind == ws.ORDINARY_POSITIVE)
         w = ws.build_wave(s, cfg)
-        _, jump = ws.matching_defect(replace(w, k=w.k + 1e-3), cfg)  # what check --perturb 1e-3 does
+        _, jump = ws.matching_defect(replace(w, k=w.k + 1e-3), cfg)  # the shift test_check_failure_exit_4 plants
         assert jump > 1e-4
 
 
