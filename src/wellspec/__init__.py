@@ -35,7 +35,7 @@ from .wavefn import (
     inner_product,
     matching_defect,
 )
-from .oracle import SineBasisMatrix, build_matrix, lowest_eigenvalues, oracle_spectrum
+from .oracle import oracle_spectrum
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

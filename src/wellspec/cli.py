@@ -156,7 +156,11 @@ def cmd_sweep_ground(args) -> int:
     rhos = np.linspace(0.005, 0.995, args.rho_steps).tolist()
     blocks = [(f_mag, sign) for f_mag in f_list for sign in signs]
     f = np.array([f_mag if sign == "attract" else -f_mag for f_mag, sign in blocks]).reshape(-1, 1)
-    e_over_eb = spectrum.ground_states(rhos, f) * f * f  # one row of rho steps per (f, sign)
+    with np.errstate(over="ignore"):  # E f^2 leaves the float range once |f| passes about 4.2e153
+        e_over_eb = spectrum.ground_states(rhos, f) * f * f  # one row of rho steps per (f, sign)
+    overflow = np.isinf(e_over_eb).any(axis=1)
+    if overflow.any():
+        raise ValueError(f"--f-list entry {blocks[overflow.argmax()][0]!r} is too large: E/E_B = E f^2 overflows")
     results = [(f_mag, sign, rho, e) for (f_mag, sign), row in zip(blocks, e_over_eb.tolist()) for rho, e in zip(rhos, row)]
     results.sort(key=lambda r: r[:3])
     lines = ["%.12g,%s,%.12g,%.12g\n" % r for r in results]

@@ -48,7 +48,6 @@ falls ~16x per doubling of M.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,30 +56,10 @@ from .model import DimensionlessConfig
 from .spectrum import coupling, solve_brackets
 
 
-@dataclass(frozen=True)
-class SineBasisMatrix:
-    """Truncated Hamiltonian, stored in its diagonal-plus-rank-one form."""
-
-    m: int
-    diag: np.ndarray  # free-well energies (i*pi)^2, i = 1..m
-    coupling: np.ndarray  # sin(i*pi*rho); exact zeros in the nodal sector
-    sigma: float  # rank-one strength -4/f
-    rho: float  # delta position; fixes the weight of the truncated tail
-
-
-def build_matrix(config: DimensionlessConfig, m: int) -> SineBasisMatrix:
-    if m < 2:
-        raise ValueError("truncation order must be at least 2")
-    idx = np.arange(1, m + 1)
-    diag = (idx * np.pi) ** 2
-    sigma = 0.0 if math.isinf(config.f) else -4.0 / config.f
-    return SineBasisMatrix(m, diag, coupling(config, idx), sigma, config.rho)
-
-
-def _tail(matrix: SineBasisMatrix):
-    """The function lam -> (T_M(lam), T_M'(lam)): the secular sum's terms i > M, valid below (pi (M + 1/2))^2."""
-    rho, x0 = matrix.rho, matrix.m + 0.5
-    missing = 0.5 * rho * (1.0 - rho) - float(np.sum(matrix.coupling**2 / matrix.diag))
+def _tail(rho: float, diag: np.ndarray, u: np.ndarray):
+    """lam -> (T_M(lam), T_M'(lam)): the secular sum's terms i > M = diag.size, valid below (pi (M + 1/2))^2."""
+    x0 = diag.size + 0.5
+    missing = 0.5 * rho * (1.0 - rho) - float(np.sum(u**2 / diag))
     scale, edge = 0.5 / (math.pi**2 * x0), (math.pi * x0) ** 2
 
     def tail(lam):
@@ -103,27 +82,31 @@ def _tail(matrix: SineBasisMatrix):
     return tail
 
 
-def lowest_eigenvalues(matrix: SineBasisMatrix, count: int) -> list[float]:
-    """The ``count`` smallest eigenvalues of the tail-corrected operator, ascending.
+def oracle_spectrum(config: DimensionlessConfig, count: int, m: int) -> list[float]:
+    """The ``count`` lowest eigenvalues, ascending, of the sine-basis Hamiltonian truncated at m, tail restored.
 
-    Decoupled (zero-coupling) rows contribute their diagonal values exactly;
-    the rest interlace the coupled diagonal and come from the secular
-    equation.  Only levels well below the truncation edge (pi M)^2 carry
-    the tail's accuracy.
+    Decoupled rows, whose weight squares to 0, contribute their diagonal
+    values exactly; the rest interlace the coupled diagonal and come from the
+    secular equation.  Only levels well below the truncation edge (pi m)^2
+    carry the tail's accuracy.
     """
-    if count < 1 or count > matrix.m:
+    if m < 2:
+        raise ValueError("truncation order must be at least 2")
+    if count < 1 or count > m:
         raise ValueError("count must lie in [1, m]")
-    mask = matrix.coupling != 0.0
-    deflated = sorted(matrix.diag[~mask].tolist())
-    sigma = matrix.sigma
+    idx = np.arange(1, m + 1)
+    diag = (idx * np.pi) ** 2  # free-well energies (i pi)^2
+    u = coupling(config, idx)  # exact zeros in the nodal sector
+    sigma = 0.0 if math.isinf(config.f) else -4.0 / config.f
+    mask = u * u != 0.0  # next to a wall u^2 underflows to 0 while u does not
     if sigma == 0.0 or not mask.any():
-        return sorted(matrix.diag.tolist())[:count]
+        return diag[:count].tolist()
+    deflated = diag[~mask].tolist()
 
-    d = matrix.diag[mask]
-    u2 = matrix.coupling[mask] ** 2
-    n_coupled = len(d)
-    n_secular = min(count, n_coupled)
-    tail = _tail(matrix)
+    d = diag[mask]
+    u2 = u[mask] ** 2
+    n_secular = min(count, len(d))
+    tail = _tail(config.rho, diag, u)
 
     def secular(lam):
         # w = 1 + sigma (sum u^2 / (d - lam) + T) and w' = sigma (sum u^2 / (d - lam)^2 + T'),
@@ -136,16 +119,18 @@ def lowest_eigenvalues(matrix: SineBasisMatrix, count: int) -> list[float]:
         t, dt = tail(lam)
         return 1.0 + sigma * (s1 + t), sigma * (np.einsum("ij,j->i", inv, u2) + dt)
 
-    reach = sigma * float(np.sum(u2))  # Weyl bound on the outermost root's shift
+    # Weyl bound on the outermost root's shift; at least one ulp, so the end stays off its pole
+    # where the shift rounds away beside it (next to a wall, or at a vanishing coupling)
+    reach = sigma * float(np.sum(u2))
     if sigma < 0.0:
         # roots sit below each coupled diagonal entry; w decreases across each gap
-        lo = np.concatenate(([d[0] + reach], d[: n_secular - 1]))
+        lo = np.concatenate(([min(d[0] + reach, math.nextafter(d[0], -math.inf))], d[: n_secular - 1]))
         hi = d[:n_secular]
         lo_sign, outer = 1.0, lo[:1]
     else:
         # roots sit above each coupled diagonal entry; w increases across each gap
         lo = d[:n_secular]
-        hi = np.concatenate((d[1 : n_secular + 1], [d[-1] + reach]))[:n_secular]
+        hi = np.concatenate((d[1 : n_secular + 1], [max(d[-1] + reach, math.nextafter(d[-1], math.inf))]))[:n_secular]
         lo_sign, outer = -1.0, hi[-1:]
     # Weyl's bound holds for the truncated sum alone; the tail must show w > 0 there too
     with np.errstate(divide="ignore"):
@@ -162,8 +147,3 @@ def lowest_eigenvalues(matrix: SineBasisMatrix, count: int) -> list[float]:
     # each root starts where the term of its own pole, sigma u_i^2 / (d_i - lam), cancels the 1 in w
     roots = solve_brackets(pole_free, lo, hi, lo_sign, d[:n_secular] + sigma * u2[:n_secular]).tolist()
     return sorted(roots + deflated[:count])[:count]  # count <= m, so the two give at least count
-
-
-def oracle_spectrum(config: DimensionlessConfig, count: int, m: int) -> list[float]:
-    """Lowest ``count`` eigenvalues of the sine-basis Hamiltonian, truncated at m with its tail restored."""
-    return lowest_eigenvalues(build_matrix(config, m), count)

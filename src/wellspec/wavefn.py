@@ -50,6 +50,9 @@ _EVEN_BERNOULLI = (
 # phi(s) = sum_{n >= 1} n 4^n B_2n s^(2n - 2) / (2n)!, highest power first; the terms fall by about (s / pi)^2.
 # The integer quotient rounds each coefficient correctly.
 _PHI_SERIES = [n * 4**n * p / (q * math.factorial(2 * n)) for n, (p, q) in enumerate(_EVEN_BERNOULLI, 1)][::-1]
+# (x - sin x) / x^3 = sum_{n >= 1} (-1)^(n+1) x^(2n - 2) / (2n + 1)!, highest power first; below x = 2 the
+# terms fall by x^2 / ((2n + 2)(2n + 3)), so 14 of them reach rounding.
+_SIN_DEFECT_SERIES = [(-1) ** (n + 1) / math.factorial(2 * n + 1) for n in range(1, 15)][::-1]
 
 
 def _phi(s: float) -> float:
@@ -82,8 +85,18 @@ def _ratio(k: float, x: float, T: float) -> float:
 
 
 def _int_sin2(k: float, T: float) -> float:
-    """Integral of sin(k u)^2 over [0, T]."""
-    return 0.5 * T - math.sin(2.0 * k * T) / (4.0 * k)
+    """Integral of sin(k u)^2 over [0, T], (x - sin x) / (4 k) at x = 2 k T.
+
+    Below x = 2, where the closed form T/2 - sin(x) / (4k) cancels (the first level just above the
+    binding threshold, a segment next to a wall), the series of (x - sin x) / x^3 replaces it, within 4 ulp.
+    """
+    x = 2.0 * k * T
+    if x < 2.0:
+        x2, acc = x * x, 0.0
+        for c in _SIN_DEFECT_SERIES:
+            acc = acc * x2 + c
+        return 0.5 * T * x2 * acc
+    return 0.5 * T - math.sin(x) / (4.0 * k)
 
 
 def _int_sin_sin(a: float, b: float, T: float) -> float:

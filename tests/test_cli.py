@@ -351,6 +351,19 @@ class TestExitCodes:
         assert len(rows) == 5
         assert all(float(r[3]) == pytest.approx(-1.0, rel=1e-12) for r in rows)
 
+    @pytest.mark.parametrize("f_list, value", [("1e154", "1e+154"), ("0.1,1e200", "1e+200")])
+    def test_huge_coupling_sweep_is_usage_error(self, f_list, value, capsys):
+        # E/E_B = E f^2 overflows past |f| ~ 4.2e153: it leaked a RuntimeWarning and wrote inf rows
+        assert main(["sweep-ground", "--f-list", f_list, "--rho-steps", "5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"--f-list entry {value} is too large" in err
+
+    def test_largest_couplings_sweep_finitely(self, capsys):
+        assert main(["sweep-ground", "--f-list", "4e153", "--rho-steps", "5"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 10
+        assert all(float(r[3]) == pytest.approx(1.579e308, rel=1e-3) for r in rows)
+
     @pytest.mark.parametrize(
         "argv, flag",
         [(["--rho-steps", "0"], "--rho-steps"), (["--rho-steps", "-1"], "--rho-steps"),

@@ -1,4 +1,4 @@
-"""Sine-basis spectral cross-check: matrix structure, tail correction, eigensolvers."""
+"""Sine-basis spectral cross-check: the weights, the tail correction and the secular solve, refereed by LAPACK."""
 
 import math
 
@@ -8,52 +8,23 @@ import pytest
 import wellspec as ws
 import wellspec.oracle
 from wellspec.errors import ConvergenceFailure
-from wellspec.oracle import SineBasisMatrix, build_matrix, lowest_eigenvalues, oracle_spectrum
+from wellspec.oracle import oracle_spectrum
 from wellspec.spectrum import _EPS
 
 
-def dense(matrix: SineBasisMatrix) -> np.ndarray:
-    """The truncated matrix, materialized: diagonal plus sigma u u^T, with no tail."""
-    return np.diag(matrix.diag) + matrix.sigma * np.outer(matrix.coupling, matrix.coupling)
+def sine_basis(rho: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal (i pi)^2 and the weights sin(i pi rho), i = 1..m, built here rather than through ``coupling``."""
+    i = np.arange(1, m + 1)
+    return (i * np.pi) ** 2, np.sin(i * np.pi * rho)
 
 
-def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60) -> np.ndarray:
-    """All eigenvalues of a dense symmetric matrix by cyclic Jacobi rotations.
-
-    Slow but simple; the dense reference for the secular solver.
-    """
-    a = np.array(a, dtype=float, copy=True)
-    n = a.shape[0]
-    if a.shape != (n, n) or not np.allclose(a, a.T, atol=1e-12 * max(1.0, float(np.abs(a).max()))):
-        raise ValueError("matrix must be square symmetric")
-    scale = float(np.linalg.norm(a))
-    for _ in range(max_sweeps):
-        off = float(np.linalg.norm(a - np.diag(np.diag(a))))
-        if off <= tol * max(scale, 1.0):
-            return np.sort(np.diag(a))
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    raise ConvergenceFailure(f"Jacobi sweeps did not reduce off-diagonal norm below {tol}")
+def dense(config, m: int) -> np.ndarray:
+    """The truncated Hamiltonian diag((i pi)^2) - (4/f) u u^T, materialized with no tail."""
+    diag, u = sine_basis(config.rho, m)
+    return np.diag(diag) - (4.0 / config.f) * np.outer(u, u)
 
 
-def _no_tail(matrix):
+def _no_tail(*args):
     """Stands in for ``oracle._tail`` so the oracle solves the plain truncated matrix."""
     return lambda lam: (0.0, 0.0)
 
@@ -85,80 +56,69 @@ def solves(monkeypatch):
     return record
 
 
-class TestBuildMatrix:
+class TestSineBasis:
     def test_center_even_rows_decouple(self):
-        m = build_matrix(ws.DimensionlessConfig.exact(1, 2, 0.3), 12)
-        assert np.all(m.coupling[1::2] == 0.0)  # even basis index: sin(m pi/2) = 0
-        assert np.all(m.coupling[0::2] != 0.0)
+        u = ws.coupling(ws.DimensionlessConfig.exact(1, 2, 0.3), np.arange(1, 13))
+        assert np.all(u[1::2] == 0.0)  # even basis index: sin(m pi/2) = 0
+        assert np.all(u[0::2] != 0.0)
 
     def test_two_fifths_multiples_of_five_decouple(self):
-        m = build_matrix(ws.DimensionlessConfig.exact(2, 5, 0.3), 20)
         idx = np.arange(1, 21)
-        assert np.all(m.coupling[idx % 5 == 0] == 0.0)
-        assert np.all(m.coupling[idx % 5 != 0] != 0.0)
+        u = ws.coupling(ws.DimensionlessConfig.exact(2, 5, 0.3), idx)
+        assert np.all(u[idx % 5 == 0] == 0.0)
+        assert np.all(u[idx % 5 != 0] != 0.0)
 
     def test_zero_coupling_sentinel_is_diagonal(self):
-        m = build_matrix(ws.DimensionlessConfig.generic(0.3, math.inf), 6)
-        assert m.sigma == 0.0
-        assert np.allclose(dense(m), np.diag((np.arange(1, 7) * np.pi) ** 2))
+        cfg = ws.DimensionlessConfig.generic(0.3, math.inf)
+        assert oracle_spectrum(cfg, 6, 6) == np.diag(dense(cfg, 6)).tolist()
 
     def test_too_small_rejected(self):
-        with pytest.raises(ValueError):
-            build_matrix(ws.DimensionlessConfig.generic(0.3, 1.0), 1)
+        with pytest.raises(ValueError, match="truncation order"):
+            oracle_spectrum(ws.DimensionlessConfig.generic(0.3, 1.0), 1, 1)
 
 
-class TestLowestEigenvalues:
+class TestOracleSpectrum:
     def test_already_diagonal(self):
-        m = SineBasisMatrix(3, np.array([1.0, 4.0, 9.0]), np.zeros(3), 0.0, 0.5)
-        assert lowest_eigenvalues(m, 2) == [1.0, 4.0]
+        # 1e-300 from a wall every weight sin(i pi rho) is nonzero, but its square underflows to 0
+        cfg = ws.DimensionlessConfig.generic(1e-300, -0.1)
+        assert np.all(ws.coupling(cfg, np.arange(1, 4)) != 0.0)
+        assert oracle_spectrum(cfg, 2, 3) == [math.pi**2, (2.0 * math.pi) ** 2]
 
     def test_free_well_ladder(self):
         vals = oracle_spectrum(ws.DimensionlessConfig.generic(0.3, math.inf), 3, 50)
         assert vals == pytest.approx([math.pi**2, 4.0 * math.pi**2, 9.0 * math.pi**2], rel=1e-14)
 
     def test_count_bounds(self):
-        m = build_matrix(ws.DimensionlessConfig.generic(0.3, 1.0), 5)
-        with pytest.raises(ValueError):
-            lowest_eigenvalues(m, 0)
-        with pytest.raises(ValueError):
-            lowest_eigenvalues(m, 6)
+        cfg = ws.DimensionlessConfig.generic(0.3, 1.0)
+        with pytest.raises(ValueError, match="count"):
+            oracle_spectrum(cfg, 0, 5)
+        with pytest.raises(ValueError, match="count"):
+            oracle_spectrum(cfg, 6, 5)
 
     def test_lowest_level_does_not_depend_on_the_batch(self):
         # near E = 0 the secular function cancels to a few ulp of 1, so a row
         # sum whose order follows the number of rows moved this level by 5.5e-14
-        m = build_matrix(ws.DimensionlessConfig.exact(1, 3, 0.43953), 1000)
-        assert lowest_eigenvalues(m, 1)[0] == lowest_eigenvalues(m, 41)[0]
+        cfg = ws.DimensionlessConfig.exact(1, 3, 0.43953)
+        assert oracle_spectrum(cfg, 1, 1000)[0] == oracle_spectrum(cfg, 41, 1000)[0]
         for rho, f, size in ((0.3183, 0.7, 999), (0.71, -0.05, 1001), (0.137, 0.25, 2000)):
-            m = build_matrix(ws.DimensionlessConfig.generic(rho, f), size)
-            every = lowest_eigenvalues(m, 41)
-            assert all(lowest_eigenvalues(m, count) == every[:count] for count in (1, 3, 8))
+            cfg = ws.DimensionlessConfig.generic(rho, f)
+            every = oracle_spectrum(cfg, 41, size)
+            assert all(oracle_spectrum(cfg, count, size) == every[:count] for count in (1, 3, 8))
 
-    def test_secular_matches_jacobi(self, no_tail):
-        # independent dense eigensolver agrees with the rank-one secular path on the truncated matrix
-        for cfg in (
-            ws.DimensionlessConfig.exact(1, 2, -0.2),
-            ws.DimensionlessConfig.generic(0.3183, 1.0),
-            ws.DimensionlessConfig.generic(0.71, 0.05),
-        ):
-            m = build_matrix(cfg, 90)
-            secular = np.array(lowest_eigenvalues(m, 90))
-            dense_vals = jacobi_eigenvalues(dense(m))
-            scale = np.maximum(np.abs(dense_vals), 1.0)
-            assert np.max(np.abs(secular - dense_vals) / scale) < 1e-12
-
-    def test_jacobi_known_spectrum(self):
-        # 100x100 matrix with known eigenvalues via an orthogonal similarity
-        rng = np.random.default_rng(11)
-        target = np.sort(rng.uniform(-50.0, 50.0, 100))
-        q, _ = np.linalg.qr(rng.normal(size=(100, 100)))
-        a = q @ np.diag(target) @ q.T
-        a = 0.5 * (a + a.T)
-        got = jacobi_eigenvalues(a)
-        assert np.max(np.abs(got - target) / np.maximum(np.abs(target), 1.0)) < 1e-12
-
-    def test_jacobi_rejects_nonsymmetric(self):
-        with pytest.raises(ValueError):
-            jacobi_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    @pytest.mark.parametrize(
+        "cfg",
+        [ws.DimensionlessConfig.exact(1, 2, -0.2), ws.DimensionlessConfig.generic(0.3183, 1.0),
+         ws.DimensionlessConfig.generic(0.71, 0.05), ws.DimensionlessConfig.generic(0.3, 1e-3),
+         ws.DimensionlessConfig.generic(0.5 + 1e-7, -50.0)],
+        ids=["half_repulsive", "generic", "strong", "weak_attraction", "near_rational_repulsive"],
+    )
+    def test_secular_matches_lapack(self, no_tail, cfg):
+        # LAPACK's dense eigensolver referees the rank-one secular path on the plain truncated matrix
+        h = dense(cfg, 400)
+        reference = np.linalg.eigvalsh(h)
+        norm = np.abs(reference).max()  # the 2-norm of the symmetric H
+        secular = np.array(oracle_spectrum(cfg, 100, 400))
+        assert np.abs(secular - reference[:100]).max() <= 4.0 * _EPS * norm
 
     def test_variational_monotonicity_and_bound_limit(self, monkeypatch):
         cfg = ws.DimensionlessConfig.exact(1, 2, 0.1)
@@ -181,6 +141,20 @@ class TestLowestEigenvalues:
             target = (5 * j * math.pi) ** 2
             assert min(abs(v - target) for v in vals) < 1e-9 * target
 
+    @pytest.mark.parametrize(
+        "rho, f",
+        [(1e-14, 0.1), (0.9999999999999999, 0.1), (0.3, 1e20), (1e-300, -0.1), (5e-324, -0.1)],
+        ids=["attractive_next_to_left_wall", "attractive_next_to_right_wall", "vanishing_attraction",
+             "weight_squares_underflow", "smallest_position"],
+    )
+    def test_outer_end_next_to_a_wall(self, rho, f):
+        # the Weyl reach sigma sum u^2 rounded away beside its pole, which put the outer end on the pole
+        # (w = -inf there), or u^2 underflowed to 0 while u did not, and the check read 0 * inf = nan
+        cfg = ws.DimensionlessConfig.generic(rho, f)
+        exact = np.array(ws.full_spectrum(cfg, 20.0 * math.pi).energies[:8])
+        got = np.array(oracle_spectrum(cfg, 8, 1000))
+        assert np.abs(got - exact).max() <= 1e-12 * np.abs(exact).max()
+
 
 class TestTail:
     def test_error_falls_sixfold_per_doubling(self):
@@ -194,22 +168,23 @@ class TestTail:
     def test_tail_restores_the_dropped_terms(self):
         # T_m - T_n is the explicit sum over m < i <= n: exactly at lam = 0 (the B2 identity);
         # its lam-dependent part, from the mean of sin^2 and the midpoint rule, to ~1%
-        cfg = ws.DimensionlessConfig.generic(0.37, 0.03)
-        small, large = build_matrix(cfg, 200), build_matrix(cfg, 20000)
+        rho = 0.37
+        diag, u = sine_basis(rho, 20000)
+        small = wellspec.oracle._tail(rho, diag[:200], u[:200])
         lam = np.array([-1.0e4, -50.0, 0.0, 30.0, 900.0])
-        between = (large.coupling[200:] ** 2 / (large.diag[200:] - lam[:, None])).sum(axis=1)
-        t_small, slope = wellspec.oracle._tail(small)(lam)
-        t_large = wellspec.oracle._tail(large)(lam)[0]
+        between = (u[200:] ** 2 / (diag[200:] - lam[:, None])).sum(axis=1)
+        t_small, slope = small(lam)
+        t_large = wellspec.oracle._tail(rho, diag, u)(lam)[0]
         dropped = t_small - t_large
         assert dropped[2] == pytest.approx(between[2], rel=1e-12)
         assert dropped - dropped[2] == pytest.approx(between - between[2], rel=0.02)
         h = 1e-3 * np.maximum(np.abs(lam), 1.0)
-        fd = (wellspec.oracle._tail(small)(lam + h)[0] - wellspec.oracle._tail(small)(lam - h)[0]) / (2.0 * h)
+        fd = (small(lam + h)[0] - small(lam - h)[0]) / (2.0 * h)
         assert slope == pytest.approx(fd, rel=1e-5)
 
     def test_far_outer_end_is_finite(self):
         # f = 1e-154 puts the Weyl end at -2e157, where the series' z^3 overflows; the closed forms replace it
-        tail = wellspec.oracle._tail(build_matrix(ws.DimensionlessConfig.generic(0.5, 1e-154), 1000))
+        tail = wellspec.oracle._tail(0.5, *sine_basis(0.5, 1000))
         t, dt = tail(np.array([-2e157]))
         assert np.isfinite(t).all() and np.isfinite(dt).all()
 
@@ -220,7 +195,7 @@ class TestTail:
 
     def test_wrong_sign_at_outer_end_raises_before_solving(self, monkeypatch):
         # a tail that pulls w below 0 at the Weyl end would send the lowest bracket to a wrong root
-        monkeypatch.setattr(wellspec.oracle, "_tail", lambda matrix: lambda lam: (1.0, 0.0))
+        monkeypatch.setattr(wellspec.oracle, "_tail", lambda *args: lambda lam: (1.0, 0.0))
         solves = []
         monkeypatch.setattr(wellspec.oracle, "solve_brackets", lambda *a: solves.append(a))
         with pytest.raises(ConvergenceFailure):

@@ -267,6 +267,39 @@ class TestJunctionForm:
         assert np.abs(g - np.diag(np.diag(g))).max() <= 1e-9
 
 
+class TestOscillatoryNorm:
+    """The integral of sin(k u)^2, whose closed form cancels where k T is small."""
+
+    # 50-digit mpmath values of T/2 - sin(2 k T) / (4 k), at x = 2 k T from 2e-8 to 7
+    SIN2 = [
+        (3.8e-6, 0.3, "1.2995999999996620909073419999009343793633853945628e-13"),
+        (1.0, 5e-9, "4.1666666666666669073653437099392451170054103921302e-26"),
+        (1.2e-3, 0.7, "1.6463997676600470114351243898662924359198509872334e-7"),
+        (2.0, 0.125, "0.0025718076744746249658390080980535764897745790074249"),
+        (1.0, 0.9995, "0.27232172026395116153888318340304693743077408567668"),
+        (1.0, 1.0, "0.27267564329357957615099503352206378932443625713803"),
+        (10.0, 0.35, "0.1585753350320302700078411873460726824441031006397"),
+    ]
+
+    @pytest.mark.parametrize("k, T, want", SIN2)
+    def test_int_sin2_against_frozen_references(self, k, T, want):
+        want = float(want)
+        assert abs(wavefn._int_sin2(k, T) - want) <= 4.0 * EPS * want
+
+    @pytest.mark.parametrize("r", [1e-12, 1e-10, 1e-7, 1e-3])
+    def test_first_wave_normalised_just_above_threshold(self, r):
+        # f = fc (1 + r), fc = 2 rho (1 - rho) = 0.42: level 1 has k ~ 3.8e-6 at r = 1e-12, where the
+        # closed form's cancellation left the norm 2.8e-5 off; the Gram check reads the same integral
+        cfg = _gen(0.3, 0.42 * (1.0 + r))
+        s = _first_states(cfg, 1)[0]
+        assert s.kind == ws.ORDINARY_POSITIVE
+        w = ws.build_wave(s, cfg)
+        a, b, k, rho = w.amp_left, w.amp_right, w.k, w.rho
+        left, _ = quad(lambda x: (a * math.sin(k * x)) ** 2, 0.0, rho, epsabs=1e-15, epsrel=1e-13)
+        right, _ = quad(lambda x: (b * math.sin(k * (1.0 - x))) ** 2, rho, 1.0, epsabs=1e-15, epsrel=1e-13)
+        assert abs(left + right - 1.0) <= 1e-14
+
+
 class TestMatching:
     def test_nodal_defects_vanish(self):
         cfg = _exact(1, 3, 0.4)
