@@ -150,6 +150,9 @@ def cmd_sweep_ground(args) -> int:
     f_list = [_finite_coupling("--f-list", float(tok)) for tok in args.f_list.split(",") if tok]
     if not f_list:
         raise ValueError(f"--f-list must name at least one coupling, got {args.f_list!r}")
+    for f_mag in f_list:  # a negative entry would solve the sign opposite to the one its rows name
+        if not f_mag > 0.0:
+            raise ValueError(f"--f-list entry {f_mag!r} must be a positive magnitude; --signs sets the sign")
     if args.rho_steps < 1:
         raise ValueError(f"--rho-steps must be at least 1, got {args.rho_steps}")
     signs = ["attract", "repel"] if args.signs == "both" else [args.signs]
@@ -279,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_disp.set_defaults(func=cmd_dispersion_curve)
 
     p_sweep = sub.add_parser("sweep-ground", help="ground-state energy across positions")
-    p_sweep.add_argument("--f-list", default="0.1,0.4,0.5")
+    p_sweep.add_argument("--f-list", default="0.1,0.4,0.5", help="positive coupling magnitudes; --signs sets the sign")
     p_sweep.add_argument("--signs", choices=["both", "attract", "repel"], default="both")
     p_sweep.add_argument("--rho-steps", type=int, default=199)
     p_sweep.add_argument("--out", default="-")

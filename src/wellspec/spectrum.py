@@ -34,7 +34,7 @@ DEFAULT_K_MAX = 20.0 * math.pi
 
 _EPS = 2.220446049250313e-16
 _RESIDUAL_TOL = 1e-10  # a root's |g| may be at most this times max(1, |f| kL)
-_MAX_PASSES = 240  # cap on the passes of one solve, and on the bisection steps of its fallback
+_MAX_PASSES = 240  # passes of one solve; a failed certificate's nested solve halves this often, so nests ~5 deep
 _MINUS_PLUS = np.array([-1.0, 1.0])
 _POLE_EPS = 1e-9  # rhs_positive: |sin kL| below this is a pole, or a removable point where the numerator is too
 
@@ -189,9 +189,8 @@ def solve_brackets(fn, lo, hi, lo_sign, x0=math.nan) -> np.ndarray:
     to the bracket; a bracket still open after the last pass gives its
     midpoint, and an empty one its lo.  A Newton root must show a sign
     change, or a zero, across root -+ tol.  A bracket that fails this
-    certificate is bisected from the ends its iterates set, stepping out from
-    the failed side by doubling distances first, so bisection stays the
-    safeguard.
+    certificate is narrowed past the failed probe and solved again by one
+    nested call with NaN slopes, that is by bisection, from 2 tol past it.
     """
     lo_end, hi_end = np.array(lo, dtype=float), np.array(hi, dtype=float)  # the narrowed brackets
     sign0 = np.full(lo_end.shape, lo_sign, dtype=float)
@@ -255,26 +254,12 @@ def solve_brackets(fn, lo, hi, lo_sign, x0=math.nan) -> np.ndarray:
     failed = down | up
     if not np.count_nonzero(failed):
         return out
-    hi = np.where(down, pts[:, 0], hi_end)[failed]
-    lo = np.where(up, pts[:, 1], lo_end)[failed]
+    # Newton off: the loop never steps on a NaN slope, so it bisects the bracket narrowed past the failed probe
     idx = np.flatnonzero(failed)
-    down, reach, sign = down[idx], 2.0 * tol[idx], sign0[idx]
-    for _ in range(_MAX_PASSES):
-        mid = 0.5 * (lo + hi)
-        narrow = hi - lo <= 4.0 * _EPS * np.maximum(1.0, np.abs(mid))
-        if narrow.any():
-            out[idx[narrow]] = mid[narrow]
-            keep = ~narrow
-            idx, sign, lo, hi, mid, down, reach = (a[keep] for a in (idx, sign, lo, hi, mid, down, reach))
-        if not idx.size:
-            break
-        x = np.where(down, np.maximum(hi - reach, mid), np.minimum(lo + reach, mid))
-        vs = fn(x, idx)[0] * sign
-        lo = np.where(vs >= 0.0, x, lo)
-        hi = np.where(vs > 0.0, hi, x)
-        reach = 2.0 * reach
-    else:
-        out[idx] = 0.5 * (lo + hi)
+    hi = np.where(down, pts[:, 0], hi_end)[idx]
+    lo = np.where(up, pts[:, 1], lo_end)[idx]
+    x0 = np.where(down[idx], hi - 2.0 * tol[idx], lo + 2.0 * tol[idx])  # 2 tol past the failed side
+    out[idx] = solve_brackets(lambda x, i: (fn(x, idx[i])[0], np.full(x.shape, np.nan)), lo, hi, sign0[idx], x0)
     return out
 
 
@@ -329,7 +314,8 @@ def _brackets(rho, f, level, u):
     """
     below = level - (f > 0.0)  # the free-well level at the lower end
     lo, hi, sign = below * math.pi, (below + 1) * math.pi, 1.0 - 2.0 * (below % 2)
-    x0, known, root = _weak_root(level, u, f), decoupled(u, f, level), level * math.pi
+    with np.errstate(over="ignore"):  # past |f| ~ 1e300, f k overflows to the limit of f = inf: l pi, decoupled
+        x0, known, root = _weak_root(level, u, f), decoupled(u, f, level), level * math.pi
     first = below == 0  # level 1 of f > 0
     if np.count_nonzero(first):
         fc = _threshold_coupling(rho)
@@ -351,8 +337,9 @@ def _certify(x, rho, f) -> np.ndarray:
     The tolerance scales by max(1, |f| x), so by 1 below zero.  ``rho`` and
     ``f`` are scalars, or arrays with one entry per root.
     """
-    res = np.abs(_signed_residual(x, rho, f)[0])
-    bad = np.flatnonzero(res > _RESIDUAL_TOL * np.maximum(1.0, np.abs(f) * x))
+    with np.errstate(over="ignore"):  # past |f| ~ 1e300, f k overflows to the residual and tolerance inf of f = inf
+        res = np.abs(_signed_residual(x, rho, f)[0])
+        bad = np.flatnonzero(res > _RESIDUAL_TOL * np.maximum(1.0, np.abs(f) * x))
     if bad.size:
         raise SolverFailure(f"root polish left residual {res[bad[0]]:.3e} at x={float(x[bad[0]])}")
     return res

@@ -328,10 +328,12 @@ class TestExitCodes:
         assert rc == 3
         assert capsys.readouterr().err == "solver failure: no convergence at x=2.5\n"
 
-    @pytest.mark.parametrize("f_list", ["0", "nan", "0.1,0"])
+    # --f-list takes magnitudes; a negative entry exited 0, and its attract rows solved a repulsive delta
+    @pytest.mark.parametrize("f_list", ["0", "nan", "0.1,0", "-0.1", "0.1,-0.4"])
     def test_sweep_invalid_coupling_is_usage_error(self, f_list, capsys):
         assert main(["sweep-ground", "--f-list", f_list, "--rho-steps", "5"]) == 2
-        assert capsys.readouterr().out == ""
+        out, err = capsys.readouterr()
+        assert out == "" and "--f-list" in err
 
     @pytest.mark.parametrize(
         "argv",

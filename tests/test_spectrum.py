@@ -571,6 +571,22 @@ class TestSolveBrackets:
         assert [x.tolist() for x in xs[:3]] == [[0.5], [0.25], [0.375]] and len(xs) == 4
         assert root[0] == 0.3125
 
+    @pytest.mark.parametrize("r", [-3.0, -2e30])
+    def test_failed_certificate_bisects_a_wide_bracket_to_its_root(self, r):
+        # a slope 1e15 times too large stops Newton far from r, so the root fails its certificate.
+        # Bisecting 4e154 down to tol outlasts one solve's 240 passes, so each nested solve goes on
+        # from the bracket the last one left (747 and 646 calls); a fallback loop capped at 240
+        # bisection steps returned -1.38e78 for both after 481 calls
+        calls = []
+
+        def fn(x, idx):
+            calls.append(x.size)
+            return x - r, np.full_like(x, 1e15)
+
+        root = wellspec.spectrum.solve_brackets(fn, [-4e154], [-1e-9], -1.0, [-0.5])
+        assert abs(root[0] - r) <= 4.0 * EPS * max(1.0, abs(r))
+        assert len(calls) <= 1000
+
     @pytest.mark.parametrize(
         "rho, f, k_over_pi, budget",
         [(0.524043, -0.00203118, 1170.36, 9), (0.658747, 0.00177253, 91.1914, 9),
@@ -784,6 +800,27 @@ class TestFullSpectrum:
         assert len(e1) == len(e2)
         for a, b in zip(e1, e2):
             assert a == pytest.approx(b, abs=1e-9 * max(1.0, abs(a)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(st.floats(0.001, 0.999), st.sampled_from([(1, 2), (2, 5), (1, 3)])),
+        st.lists(st.floats(-50.0, 50.0, allow_subnormal=False), min_size=1, max_size=12),
+    )
+    @example((1, 2), [-50.0, -0.5, 0.5, 50.0])
+    @example((2, 5), [-50.0, -0.5, 0.5, 50.0])
+    @example((1, 3), [-50.0, -0.5, 0.5, 50.0])
+    @example(0.3, [-2.2250738585072014e-308, 2.2250738585072014e-308])  # f k overflowed: a leaked RuntimeWarning
+    def test_levels_never_rise_with_the_inverse_coupling(self, pos, inverse):
+        # H = diag (m pi)^2 - (4/f) u u^T, so each level moves by -4 <psi|u>^2 <= 0 per unit of 1/f,
+        # across the whole line and through the free well at 1/f = 0 (f = inf); nodal levels stay put
+        config = (lambda f: _exact(*pos, f)) if isinstance(pos, tuple) else (lambda f: _gen(pos, f))
+        inverse = sorted({0.0, *inverse})
+        energies = np.array(
+            [ws.full_spectrum(config(1.0 / v if v else math.inf), 9.5 * math.pi).energies[:8] for v in inverse]
+        )
+        assert energies.shape == (len(inverse), 8)
+        rise = np.diff(energies, axis=0)
+        assert np.all(rise <= 4.0 * EPS * np.maximum(1.0, np.abs(energies[:-1])))
 
     def test_level_in_last_partial_interval(self):
         # the level at 26.5355 pi lies within 0.01 pi below k_max = 26.5434 pi
@@ -1073,6 +1110,29 @@ class TestPinnedBits:
             ("ordinary_negative", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
             ("nodal", "0x1.921fb54442d18p+2", "0x1.3bd3cc9be45dep+5", "0x0.0p+0"),
         ],
+        # a sweep-ground point whose level-1 Newton root 1.0690413728597135 fails its certificate
+        (_gen(0.275, 0.43267738334242856), 20.0): [
+            ("ordinary_positive", "0x1.11acb20680df4p+0", "0x1.2491c83193666p+0", "0x1.0000000000000p-54"),
+            ("ordinary_positive", "0x1.64e187a5f1cf2p+2", "0x1.f18407f5421b9p+4", "0x1.0000000000000p-49"),
+            ("ordinary_positive", "0x1.29af64b2b5632p+3", "0x1.5a286fd17cd02p+6", "0x1.0800000000000p-49"),
+            ("ordinary_positive", "0x1.90f124f3b1c53p+3", "0x1.39f93b5011d93p+7", "0x1.9000000000000p-49"),
+            ("ordinary_positive", "0x1.ee2b1bfe315bcp+3", "0x1.dcf533a5b8792p+7", "0x1.2000000000000p-49"),
+            ("ordinary_positive", "0x1.2a9a496b13129p+4", "0x1.5c4b8fe9b2486p+8", "0x1.8000000000000p-48"),
+            ("ordinary_positive", "0x1.5fadcf45bf437p+4", "0x1.e31e14630e915p+8", "0x1.a900000000000p-47"),
+            ("ordinary_positive", "0x1.9110a22c94e23p+4", "0x1.3a2a8e922b5ddp+9", "0x1.7800000000000p-47"),
+            ("ordinary_positive", "0x1.c1c4d2e9c6ac8p+4", "0x1.8b1a0195d752ep+9", "0x1.0000000000000p-52"),
+            ("ordinary_positive", "0x1.f583d16fddc77p+4", "0x1.eb3e9acfeef1bp+9", "0x1.a000000000000p-49"),
+            ("ordinary_positive", "0x1.14741ae154f71p+5", "0x1.2a8a8e9e3e3c4p+10", "0x1.4064000000000p-45"),
+            ("ordinary_positive", "0x1.2ceee3d1f9df5p+5", "0x1.61c0c4e086ce1p+10", "0x1.f000000000000p-48"),
+            ("ordinary_positive", "0x1.45e0e82d502b6p+5", "0x1.9ed4d31a2f6c9p+10", "0x1.0d00000000000p-44"),
+            ("ordinary_positive", "0x1.5fb036614bdfap+5", "0x1.e324ae699f64cp+10", "0x1.6f80000000000p-45"),
+            ("ordinary_positive", "0x1.78dfd6df3e825p+5", "0x1.15692573ea73ep+11", "0x1.8400000000000p-45"),
+            ("ordinary_positive", "0x1.9173284380b04p+5", "0x1.3ac4fbf856118p+11", "0x1.7c00000000000p-46"),
+            ("ordinary_positive", "0x1.aac2fb8df6ee4p+5", "0x1.63b6c0db5a157p+11", "0x1.6600000000000p-44"),
+            ("ordinary_positive", "0x1.c45f991568619p+5", "0x1.8fb0dc2349035p+11", "0x1.a0c0000000000p-45"),
+            ("ordinary_positive", "0x1.dd4194afccebep+5", "0x1.bcdeba71fca46p+11", "0x1.a000000000000p-50"),
+            ("ordinary_positive", "0x1.f610e6d45be75p+5", "0x1.ec532533418e7p+11", "0x1.0400000000000p-44"),
+        ],
     }
     GROUND_STATES = [
         "0x1.39e564ed0c976p+3", "0x1.498e6f829d1f6p+3", "0x1.84fa93dc4b9ffp+2",
@@ -1099,6 +1159,11 @@ class TestPinnedBits:
         # bound, above-threshold and repulsive points, f = 0.3 and -0.3 in turn
         rho, f = np.linspace(0.02, 0.98, 21), np.where(np.arange(21) % 2 == 0, 0.3, -0.3)
         assert [float(e).hex() for e in ws.ground_states(rho, f)] == self.GROUND_STATES
+
+    def test_ground_states_through_the_nested_solve(self):
+        # level 1 of the table above, at the position and its mirror; each Newton root fails its certificate
+        got = ws.ground_states([0.275, 0.725], 0.43267738334242856)
+        assert [float(e).hex() for e in got] == ["0x1.2491c83193666p+0"] * 2
 
     def test_oracle_secular_solve(self):
         assert [float(e).hex() for e in ws.oracle_spectrum(_gen(0.37, 0.7), 8, 1000)] == self.ORACLE
