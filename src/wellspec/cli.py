@@ -176,11 +176,6 @@ def _run_checks(args, config: DimensionlessConfig) -> tuple[dict, bool]:
     states = spec.entries[: args.count]
     if not states:
         raise ValueError(f"no level lies below --kmax {args.kmax}, so there is nothing to check")
-    if args.oracle_m < max(2, len(states)):  # the oracle's truncation needs 2 rows, and one row per level it solves
-        raise ValueError(
-            f"--oracle-m {args.oracle_m} must be at least 2 and at least the {len(states)} levels"
-            f" checked (--count {args.count})"
-        )
     waves = [wavefn.build_wave(s, config) for s in states]
 
     gram = wavefn.gram_matrix(waves)
@@ -193,7 +188,7 @@ def _run_checks(args, config: DimensionlessConfig) -> tuple[dict, bool]:
     max_jump = max(d[1] for d in defects)
 
     exact_e = [s.energy for s in states]
-    oracle_e = oracle.oracle_spectrum(config, len(exact_e), args.oracle_m)
+    oracle_e = oracle.oracle_spectrum(config, len(exact_e))
     deltas = [abs(o - e) for o, e in zip(oracle_e, exact_e)]
     oracle_ok = all(d <= max(1e-5 * abs(e), 1e-3) for d, e in zip(deltas, exact_e))
 
@@ -290,9 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="orthonormality, matching, and oracle checks")
     _add_rho_f_flags(p_check)
-    p_check.add_argument("--count", type=int, default=8)
+    p_check.add_argument("--count", type=int, default=8, help="check the lowest N levels below --kmax")
     p_check.add_argument("--kmax", type=float, default=20.0)
-    p_check.add_argument("--oracle-m", type=int, default=1000)
     p_check.add_argument("--out", default=None, help="optional JSON report path")
     p_check.set_defaults(func=cmd_check)
 

@@ -82,14 +82,18 @@ def _tail(rho: float, diag: np.ndarray, u: np.ndarray):
     return tail
 
 
-def oracle_spectrum(config: DimensionlessConfig, count: int, m: int) -> list[float]:
+def oracle_spectrum(config: DimensionlessConfig, count: int, m: int | None = None) -> list[float]:
     """The ``count`` lowest eigenvalues, ascending, of the sine-basis Hamiltonian truncated at m, tail restored.
 
     Decoupled rows, whose weight squares to 0, contribute their diagonal
     values exactly; the rest interlace the coupled diagonal and come from the
     secular equation.  Only levels well below the truncation edge (pi m)^2
-    carry the tail's accuracy.
+    carry the tail's accuracy, so m defaults to max(1000, 2 count), which puts
+    the count-th level, near (count pi)^2, at a quarter of the edge.  Only the
+    roots that can rank among the lowest ``count`` are solved, so no bracket
+    ends on a Weyl bound past the tail's range where many rows decouple.
     """
+    m = max(1000, 2 * count) if m is None else m
     if m < 2:
         raise ValueError("truncation order must be at least 2")
     if count < 1 or count > m:
@@ -105,7 +109,8 @@ def oracle_spectrum(config: DimensionlessConfig, count: int, m: int) -> list[flo
 
     d = diag[mask]
     u2 = u[mask] ** 2
-    n_secular = min(count, len(d))
+    # each root lies beside its own coupled entry: the lowest count need those of the first count rows, and one more
+    n_secular = min(np.count_nonzero(mask[:count]) + 1, len(d), count)
     tail = _tail(config.rho, diag, u)
 
     def secular(lam):

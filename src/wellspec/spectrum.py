@@ -201,7 +201,7 @@ def solve_brackets(fn, lo, hi, lo_sign, x0=math.nan) -> np.ndarray:
     x = np.full(lo_end.shape, x0, dtype=float)[idx]
     x = np.where((x > lo) & (x < hi), x, 0.5 * (lo + hi))
     last = before = hi - lo  # sizes of the last two steps
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # an infinite step is no Newton step
         for _ in range(_MAX_PASSES):
             if not idx.size:
                 break

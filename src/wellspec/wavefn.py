@@ -152,13 +152,14 @@ def build_wave(state: EigenState, config: DimensionlessConfig) -> PiecewiseWave:
         if k == 0.0:
             raise InconsistentState("the zero-energy state is the ordinary negative one at kappaL = 0")
         m = round(k / math.pi)
-        u = coupling(config, m) if k == m * math.pi else None  # the weight of the level k sits on, if any
+        u = float(coupling(config, m)) if k == m * math.pi else None  # the weight of the level k sits on, if any
         if state.kind == NODAL and u != 0.0:
             raise InconsistentState("nodal state is not a level of zero weight of this configuration")
         if state.kind == ORDINARY_POSITIVE:
-            if abs(float(dispersion_residual(k, config))) > _RESIDUAL_TOL * max(1.0, abs(config.f) * k):
-                raise InconsistentState(f"residual certificate fails at kL={k}")
-        if u is not None and decoupled(u, config.f, m):
+            with np.errstate(over="ignore"):  # past |f| ~ 1e300 the slope dispersion_residual discards overflows
+                if abs(float(dispersion_residual(k, config))) > _RESIDUAL_TOL * max(1.0, abs(config.f) * k):
+                    raise InconsistentState(f"residual certificate fails at kL={k}")
+        if u is not None and decoupled(u, config.f, m):  # float u: past |f| ~ 1e300 its floor is inf, with no warning
             # the ordinary amplitudes below are of the size of the weight, which is at the rounding floor here
             return _nodal_wave(k, m, rho)
         raw_l = math.sin(k * (1.0 - rho))

@@ -100,10 +100,30 @@ class TestOracleSpectrum:
         # sum whose order follows the number of rows moved this level by 5.5e-14
         cfg = ws.DimensionlessConfig.exact(1, 3, 0.43953)
         assert oracle_spectrum(cfg, 1, 1000)[0] == oracle_spectrum(cfg, 41, 1000)[0]
-        for rho, f, size in ((0.3183, 0.7, 999), (0.71, -0.05, 1001), (0.137, 0.25, 2000)):
-            cfg = ws.DimensionlessConfig.generic(rho, f)
+        configs = [(ws.DimensionlessConfig.generic(rho, f), size)
+                   for rho, f, size in ((0.3183, 0.7, 999), (0.71, -0.05, 1001), (0.137, 0.25, 2000))]
+        # where rows decouple, fewer roots than count are solved, and their number follows count
+        configs += [(ws.DimensionlessConfig.exact(p, n, f), 1000)
+                    for p, n, f in ((1, 2, 0.01), (1, 3, -0.2), (2, 5, 0.1))]
+        for cfg, size in configs:
             every = oracle_spectrum(cfg, 41, size)
             assert all(oracle_spectrum(cfg, count, size) == every[:count] for count in (1, 3, 8))
+
+    def test_default_basis_follows_the_count(self):
+        # m = max(1000, 2 count) keeps the 1200th level at a quarter of the truncation edge
+        cfg = ws.DimensionlessConfig.generic(0.3, 0.1)
+        got = oracle_spectrum(cfg, 1200)
+        assert got == oracle_spectrum(cfg, 1200, 2400)
+        exact = np.array(ws.full_spectrum(cfg, 1250.0 * math.pi).energies[:1200])
+        assert np.all(np.abs(np.array(got) - exact) <= np.maximum(1e-5 * np.abs(exact), 1e-3))
+
+    def test_half_the_rows_decoupled_repulsive(self):
+        # solving all 500 coupled roots put the outermost bracket's Weyl end, 1.005e7, past the tail's
+        # edge (pi 1000.5)^2 = 9.879e6; only the roots that can rank among the lowest 500 are solved
+        cfg = ws.DimensionlessConfig.exact(1, 2, -0.01)
+        got = np.array(oracle_spectrum(cfg, 500, 1000))
+        exact = np.array(ws.full_spectrum(cfg, 600.0 * math.pi).energies[:500])
+        assert np.all(np.abs(got - exact) <= np.maximum(1e-5 * np.abs(exact), 1e-3))
 
     @pytest.mark.parametrize(
         "cfg",
@@ -143,13 +163,16 @@ class TestOracleSpectrum:
 
     @pytest.mark.parametrize(
         "rho, f",
-        [(1e-14, 0.1), (0.9999999999999999, 0.1), (0.3, 1e20), (1e-300, -0.1), (5e-324, -0.1)],
+        [(1e-14, 0.1), (0.9999999999999999, 0.1), (0.3, 1e20), (1e-300, -0.1), (5e-324, -0.1),
+         (2e-164, 0.1), (2e-164, -0.1)],
         ids=["attractive_next_to_left_wall", "attractive_next_to_right_wall", "vanishing_attraction",
-             "weight_squares_underflow", "smallest_position"],
+             "weight_squares_underflow", "smallest_position", "low_rows_underflow_attractive",
+             "low_rows_underflow_repulsive"],
     )
     def test_outer_end_next_to_a_wall(self, rho, f):
         # the Weyl reach sigma sum u^2 rounded away beside its pole, which put the outer end on the pole
-        # (w = -inf there), or u^2 underflowed to 0 while u did not, and the check read 0 * inf = nan
+        # (w = -inf there), or u^2 underflowed to 0 while u did not, and the check read 0 * inf = nan;
+        # at 2e-164 rows 1-25 decouple, so none of the 8 levels needs a secular root, yet one bracket is solved
         cfg = ws.DimensionlessConfig.generic(rho, f)
         exact = np.array(ws.full_spectrum(cfg, 20.0 * math.pi).energies[:8])
         got = np.array(oracle_spectrum(cfg, 8, 1000))
@@ -190,7 +213,7 @@ class TestTail:
 
     def test_outer_end_sign_is_checked(self):
         # all 10 levels of a repulsive m = 10 truncation: the Weyl end lies past the tail's range
-        with pytest.raises(ConvergenceFailure):
+        with pytest.raises(ConvergenceFailure, match="outer bracket end"):
             oracle_spectrum(ws.DimensionlessConfig.generic(0.3, -0.1), 10, 10)
 
     def test_wrong_sign_at_outer_end_raises_before_solving(self, monkeypatch):
