@@ -32,7 +32,6 @@ from .wavefn import (
     build_wave,
     evaluate,
     gram_matrix,
-    inner_product,
     matching_defect,
 )
 from .oracle import oracle_spectrum

@@ -174,8 +174,9 @@ def cmd_sweep_ground(args) -> int:
 def _run_checks(args, config: DimensionlessConfig) -> tuple[dict, bool]:
     spec = spectrum.full_spectrum(config, args.kmax * math.pi)
     states = spec.entries[: args.count]
-    if not states:
-        raise ValueError(f"no level lies below --kmax {args.kmax}, so there is nothing to check")
+    if len(states) < args.count:
+        lie = f"only {len(states)} of the {args.count} levels --count asks for lie" if states else "no level lies"
+        raise ValueError(f"{lie} below --kmax {args.kmax}; raise --kmax or lower --count")
     waves = [wavefn.build_wave(s, config) for s in states]
 
     gram = wavefn.gram_matrix(waves)
@@ -286,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="orthonormality, matching, and oracle checks")
     _add_rho_f_flags(p_check)
     p_check.add_argument("--count", type=int, default=8, help="check the lowest N levels below --kmax")
-    p_check.add_argument("--kmax", type=float, default=20.0)
+    p_check.add_argument("--kmax", type=float, default=20.0, help="ceiling in units of pi")
     p_check.add_argument("--out", default=None, help="optional JSON report path")
     p_check.set_defaults(func=cmd_check)
 

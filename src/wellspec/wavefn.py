@@ -99,26 +99,6 @@ def _int_sin2(k: float, T: float) -> float:
     return 0.5 * T - math.sin(x) / (4.0 * k)
 
 
-def _int_sin_sin(a: float, b: float, T: float) -> float:
-    """Integral of sin(a u) sin(b u) over [0, T]."""
-    if a == b:
-        return _int_sin2(a, T)
-    d, s = a - b, a + b
-    return 0.5 * (math.sin(d * T) / d - math.sin(s * T) / s)
-
-
-def _int_sin_ratio(a: float, b: float, T: float) -> float:
-    """Integral of sin(a u) S(b, u, T) over [0, T]."""
-    return (_kcoth(b, T) * math.sin(a * T) - a * math.cos(a * T)) / (a * a + b * b)
-
-
-def _int_ratio_ratio(a: float, b: float, T: float) -> float:
-    """Integral of S(a, u, T) S(b, u, T) over [0, T]."""
-    if a == b:
-        return T * _phi(a * T)
-    return (_kcoth(a, T) - _kcoth(b, T)) / (a * a - b * b)
-
-
 @dataclass(frozen=True)
 class PiecewiseWave:
     """Normalized two-segment eigenfunction; the module docstring gives the segment forms."""
@@ -175,7 +155,7 @@ def build_wave(state: EigenState, config: DimensionlessConfig) -> PiecewiseWave:
         kap = state.k
         if abs(config.f * kap - rhs_negative(kap, config.rho)) > _RESIDUAL_TOL:  # max(1, |f| x) = 1 at x = -kap
             raise InconsistentState(f"residual certificate fails at kappaL={kap}")
-        junction = 1.0 / math.sqrt(_int_ratio_ratio(kap, kap, rho) + _int_ratio_ratio(kap, kap, 1.0 - rho))
+        junction = 1.0 / math.sqrt(rho * _phi(kap * rho) + (1.0 - rho) * _phi(kap * (1.0 - rho)))
         return PiecewiseWave(EVANESCENT, kap, rho, junction, junction)
 
     raise InconsistentState(f"unknown state kind {state.kind!r}")
@@ -210,24 +190,34 @@ def matching_defect(wave: PiecewiseWave, config: DimensionlessConfig) -> tuple[f
     return abs(vr - vl), abs(dr - dl + config.lam * vl)
 
 
-def inner_product(w1: PiecewiseWave, w2: PiecewiseWave) -> float:
-    """Exact closed-form integral of w1*w2 over the well; no quadrature."""
-    e1 = w1.kind == EVANESCENT
-    e2 = w2.kind == EVANESCENT
-    if e1 and not e2:
-        w1, w2 = w2, w1
-    segment = _int_ratio_ratio if e1 and e2 else _int_sin_ratio if e1 or e2 else _int_sin_sin
-    a, b, rho = w1.k, w2.k, w1.rho
-    return w1.amp_left * w2.amp_left * segment(a, b, rho) + w1.amp_right * w2.amp_right * segment(a, b, 1.0 - rho)
+def gram_matrix(waves: list[PiecewiseWave]) -> np.ndarray:
+    """Matrix of the integrals of w_i w_j over the well, from the closed forms broadcast over all pairs.
 
-
-def gram_matrix(waves: list[PiecewiseWave]):
-    """Symmetric matrix of pairwise inner products."""
-    n = len(waves)
-    g = np.empty((n, n))
-    for i in range(n):
-        for jj in range(i, n):
-            v = inner_product(waves[i], waves[jj])
-            g[i, jj] = v
-            g[jj, i] = v
-    return g
+    Both segments are taken at once, T = (rho, 1 - rho) on the leading axis:
+    the sin sin form for the oscillatory and nodal waves, the sin S form in
+    the row and column of the evanescent wave, and the squared forms where
+    the two k are equal.  One configuration has at most one evanescent wave,
+    so there is no S S form: two of them raise ValueError.
+    """
+    ev = [i for i, w in enumerate(waves) if w.kind == EVANESCENT]
+    if len(ev) > 1:
+        raise ValueError(f"{len(ev)} evanescent waves; one configuration has at most one")
+    if not waves:
+        return np.empty((0, 0))
+    segments = (waves[0].rho, 1.0 - waves[0].rho)
+    T = np.array(segments)[:, None]  # one row per segment
+    k = np.array([w.k for w in waves])
+    amp = np.array([[w.amp_left for w in waves], [w.amp_right for w in waves]])
+    square = np.array([[u * _phi(w.k * u) if w.kind == EVANESCENT else _int_sin2(w.k, u) for w in waves] for u in segments])
+    a, t = k[:, None], T[:, :, None]
+    d, s = a - k, a + k
+    # the diagonal's 0/0 gives way to the squared form below; past kappa ~ 1e154, k^2 + kappa^2 is inf, as on floats
+    with np.errstate(invalid="ignore", over="ignore"):
+        seg = 0.5 * (np.sin(d * t) / d - np.sin(s * t) / s)
+        for e in ev:
+            kcoth = np.array([[_kcoth(waves[e].k, u)] for u in segments])
+            kT = k * T
+            seg[:, e, :] = seg[:, :, e] = (kcoth * np.sin(kT) - k * np.cos(kT)) / (k * k + k[e] * k[e])
+    seg = np.where(a == k, square[:, None, :], seg)
+    p = amp[:, :, None] * amp[:, None, :] * seg
+    return p[0] + p[1]

@@ -441,6 +441,14 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "no level lies below --kmax 0.5" in captured.err
 
+    def test_check_level_shortfall_is_usage_error(self, capsys):
+        # 20 levels lie below the default --kmax 20; checking only those would pass for a check of 30
+        assert main(["check", "--rho-real", "0.3", "--f", "0.1", "--count", "30"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "only 20 of the 30 levels --count asks for lie below --kmax 20.0" in captured.err
+        assert main(["check", "--rho-real", "0.3", "--f", "0.1", "--count", "20"]) == 0
+
     @pytest.mark.parametrize("flag", ["--oracle-rtol", "--oracle-atol", "--perturb", "--oracle-m"])
     def test_check_oracle_tolerances_are_fixed(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:

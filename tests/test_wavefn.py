@@ -1,5 +1,6 @@
 """Piecewise eigenfunctions: construction, matching, closed-form integrals."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -30,6 +31,40 @@ def _first_states(config, count, k_max=20.0 * math.pi):
 def _first_nodal(config, k_max):
     """The lowest nodal entry of the spectrum below k_max."""
     return next(s for s in ws.full_spectrum(config, k_max).entries if s.kind == ws.NODAL)
+
+
+def _transcendentals_fingerprint():
+    """A digest of numpy's sin and cos and the math module's sin, cos, tanh and expm1 over 97 points."""
+    x = np.linspace(-40.0, 40.0, 97)
+    scalar = np.array([fn(v) for fn in (math.sin, math.cos, math.tanh, math.expm1) for v in x.tolist()])
+    return hashlib.sha256(b"".join(a.tobytes() for a in (np.sin(x), np.cos(x), scalar))).hexdigest()[:16]
+
+
+_PINNED_PLATFORM = pytest.mark.skipif(
+    _transcendentals_fingerprint() != "5dc3f76748f5a9fc",
+    reason="numpy's or the math module's transcendentals round differently here from where the bits were pinned",
+)
+
+
+def _scalar_gram(waves):
+    """The Gram entry by entry from the scalar closed forms on floats: the reference for the broadcast."""
+
+    def segment(w1, w2, T):  # the integral over one segment of length T; w2 is the evanescent wave, if either is
+        a, b = w1.k, w2.k
+        if a == b:
+            return T * wavefn._phi(a * T) if w1.kind == EVANESCENT else wavefn._int_sin2(a, T)
+        if w2.kind == EVANESCENT:
+            return (wavefn._kcoth(b, T) * math.sin(a * T) - a * math.cos(a * T)) / (a * a + b * b)
+        d, s = a - b, a + b
+        return 0.5 * (math.sin(d * T) / d - math.sin(s * T) / s)
+
+    g = np.empty((len(waves), len(waves)))
+    for i, wi in enumerate(waves):
+        for j, wj in enumerate(waves):
+            w1, w2 = (wj, wi) if wi.kind == EVANESCENT else (wi, wj)
+            left = w1.amp_left * w2.amp_left * segment(w1, w2, w1.rho)
+            g[i, j] = left + w1.amp_right * w2.amp_right * segment(w1, w2, 1.0 - w1.rho)
+    return g
 
 
 def step_limit_wave(j: int) -> PiecewiseWave:
@@ -214,7 +249,7 @@ class TestEvaluate:
         vals = [ws.evaluate(w, x) for x in (0.1, 0.2999, 0.3, 0.3001, 0.9)]
         assert all(map(math.isfinite, vals))
         assert vals[2] > 0.0
-        assert abs(ws.inner_product(w, w) - 1.0) <= 4.0 * EPS
+        assert abs(ws.gram_matrix([w])[0, 0] - 1.0) <= 4.0 * EPS
 
 
 class TestJunctionForm:
@@ -226,7 +261,7 @@ class TestJunctionForm:
         cfg = _gen(rho, f)
         s = ws.full_spectrum(cfg, 0.0).entries[0]
         w = ws.build_wave(s, cfg)
-        assert abs(ws.inner_product(w, w) - 1.0) <= 4.0 * EPS
+        assert abs(ws.gram_matrix([w])[0, 0] - 1.0) <= 4.0 * EPS
         cont, jump = ws.matching_defect(w, cfg)
         assert cont == 0.0
         if s.k <= 1e4:
@@ -356,7 +391,7 @@ class TestInnerProduct:
         orda = [w for s, w in zip(states, waves) if s.kind != ws.NODAL]
         for wn in nod:
             for wo in orda:
-                assert abs(ws.inner_product(wn, wo)) < 1e-10
+                assert abs(ws.gram_matrix([wn, wo])[0, 1]) < 1e-10
 
     def test_evanescent_cross_terms(self):
         cfg = _gen(0.3, 0.1)
@@ -364,14 +399,17 @@ class TestInnerProduct:
         assert states[0].kind == ws.ORDINARY_NEGATIVE
         waves = [ws.build_wave(s, cfg) for s in states]
         for w in waves[1:]:
-            assert abs(ws.inner_product(waves[0], w)) < 1e-10
+            assert abs(ws.gram_matrix([waves[0], w])[0, 1]) < 1e-10
 
-    def test_against_numerical_quadrature(self):
-        rng = np.random.default_rng(7)
-        cfg = _gen(0.413, 0.21)
-        waves = [ws.build_wave(s, cfg) for s in _first_states(cfg, 8)]
-        pairs = {tuple(sorted(rng.choice(len(waves), 2, replace=True))) for _ in range(10)}
-        for i, j in pairs:
+    @pytest.mark.parametrize(
+        "cfg", [_gen(0.3, 0.1), _exact(2, 5, 0.4), _gen(0.3, 0.42)], ids=["bound", "nodal", "tent"]
+    )
+    def test_against_numerical_quadrature(self, cfg):
+        states = _first_states(cfg, 8)
+        assert {ws.ORDINARY_NEGATIVE, ws.NODAL} & {s.kind for s in states}
+        waves = [ws.build_wave(s, cfg) for s in states]
+        g = ws.gram_matrix(waves)
+        for i, j in zip(*np.triu_indices(len(waves))):
             wi, wj = waves[i], waves[j]
             num, _ = quad(
                 lambda x: ws.evaluate(wi, x) * ws.evaluate(wj, x),
@@ -382,7 +420,57 @@ class TestInnerProduct:
                 epsabs=1e-12,
                 epsrel=1e-12,
             )
-            assert ws.inner_product(wi, wj) == pytest.approx(num, abs=1e-9)
+            assert g[i, j] == pytest.approx(num, abs=1e-9)
+
+    def test_gram_symmetric(self):
+        for cfg in (_gen(0.3, 0.1), _exact(2, 5, 0.4)):
+            g = ws.gram_matrix([ws.build_wave(s, cfg) for s in _first_states(cfg, 20)])
+            assert g.tobytes() == g.T.tobytes()
+
+    # sha256 of the Gram of the first 8 waves, frozen from the pairwise scalar closed forms
+    PINNED = [
+        (_gen(0.3, 0.1), "9f13388276bd3918b9a624500cbc6a1dcd9c71f3279f6b752c7abc2bb3d8e479"),
+        (_exact(2, 5, 0.7), "17d3f4ae0ebfc5a0d901efe721e817137175606e3e3f01b9880957553538234b"),
+    ]
+
+    @_PINNED_PLATFORM
+    @pytest.mark.parametrize("cfg, want", PINNED, ids=["bound", "nodal"])
+    def test_gram_pinned_bits(self, cfg, want):
+        g = ws.gram_matrix([ws.build_wave(s, cfg) for s in _first_states(cfg, 8)])
+        assert hashlib.sha256(g.tobytes()).hexdigest() == want
+
+    @_PINNED_PLATFORM
+    @pytest.mark.parametrize(
+        "cfg",
+        [_gen(0.3, 0.1), _exact(2, 5, 0.4), _gen(0.3, 0.42), _gen(0.5, 1e-154), _gen(3e-9, 1e-9), _gen(0.999, -1e-9)],
+        ids=["bound", "nodal", "tent", "overflow", "wall", "far-wall"],
+    )
+    def test_gram_matches_the_scalar_forms_bitwise(self, cfg):
+        # on floats, k^2 + kappa^2 overflows to inf at f = 1e-154 with no warning; the broadcast must agree
+        waves = [ws.build_wave(s, cfg) for s in _first_states(cfg, 40, 42.0 * math.pi)]
+        assert ws.gram_matrix(waves).tobytes() == _scalar_gram(waves).tobytes()
+        for w in (w for w in waves if w.kind != EVANESCENT):  # the equal-k off-diagonal
+            assert ws.gram_matrix([w, w]).tobytes() == _scalar_gram([w, w]).tobytes()
+
+    def test_two_evanescent_waves_rejected(self):
+        # one configuration has at most one bound state, so the Gram has no form for a pair of them
+        waves = [ws.build_wave(_first_states(_gen(0.3, f), 1)[0], _gen(0.3, f)) for f in (0.1, 0.2)]
+        assert [w.kind for w in waves] == [EVANESCENT, EVANESCENT]
+        with pytest.raises(ValueError, match="evanescent"):
+            ws.gram_matrix(waves)
+
+    def test_empty_gram(self):
+        assert ws.gram_matrix([]).shape == (0, 0)
+
+    def test_gram_at_scale(self):
+        # the 1,500 lowest waves of a configuration with a bound state, in one broadcast
+        cfg = _gen(0.3, 0.1)
+        waves = [ws.build_wave(s, cfg) for s in _first_states(cfg, 1500, 2000.0 * math.pi)]
+        assert len(waves) == 1500 and waves[0].kind == EVANESCENT
+        g = ws.gram_matrix(waves)
+        diag = np.diag(g)
+        assert np.abs(g - np.diag(diag)).max() <= 1e-9
+        assert np.abs(diag - 1.0).max() <= 1e-12
 
 
 class TestSymmetryAndLimits:
@@ -398,14 +486,14 @@ class TestSymmetryAndLimits:
         assert w1.k == pytest.approx(2.0 * math.pi)
         for d in (0.05, 0.17, 0.31):
             assert ws.evaluate(w1, 0.5 + d) == pytest.approx(ws.evaluate(w1, 0.5 - d), abs=1e-12)
-        assert ws.inner_product(w1, w1) == pytest.approx(1.0, abs=1e-12)
+        assert ws.gram_matrix([w1, w1])[0, 1] == pytest.approx(1.0, abs=1e-12)
         w2 = step_limit_wave(2)
-        assert abs(ws.inner_product(w1, w2)) < 1e-12
+        assert abs(ws.gram_matrix([w1, w2])[0, 1]) < 1e-12
 
     def test_step_limit_orthogonal_to_nodal(self):
         cfg = _exact(1, 2, 1e-6)
         wn = ws.build_wave(_first_nodal(cfg, 5.0 * math.pi), cfg)
-        assert abs(ws.inner_product(step_limit_wave(1), wn)) < 1e-12
+        assert abs(ws.gram_matrix([step_limit_wave(1), wn])[0, 1]) < 1e-12
 
     def test_strong_limit_even_about_center(self):
         cfg = _exact(1, 2, 1e-3)
