@@ -43,7 +43,8 @@ def _config_echo(config: DimensionlessConfig) -> dict:
 
 
 def _entry_dict(s: spectrum.EigenState, config: DimensionlessConfig) -> dict:
-    d = {"kind": s.kind, "k": s.k, "energy": s.energy, "residual": s.residual}
+    # past f kL ~ 1e308 the residual overflows to inf, which is not JSON: it is written as null, as check --out does
+    d = {"kind": s.kind, "k": s.k, "energy": s.energy, "residual": s.residual if math.isfinite(s.residual) else None}
     if s.kind == spectrum.NODAL:  # k = j n pi at the exact position p/n
         d["n"] = n = config.rational.n
         d["j"] = round(s.k / (n * math.pi))

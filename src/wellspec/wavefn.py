@@ -42,32 +42,32 @@ EVANESCENT = "evanescent"
 NODAL_WAVE = "nodal"
 
 
-# B_2, B_4, ..., B_28 as (numerator, denominator)
-_EVEN_BERNOULLI = (
-    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510), (43867, 798),
-    (-174611, 330), (854513, 138), (-236364091, 2730), (8553103, 6), (-23749461029, 870),
-)
-# phi(s) = sum_{n >= 1} n 4^n B_2n s^(2n - 2) / (2n)!, highest power first; the terms fall by about (s / pi)^2.
-# The integer quotient rounds each coefficient correctly.
-_PHI_SERIES = [n * 4**n * p / (q * math.factorial(2 * n)) for n, (p, q) in enumerate(_EVEN_BERNOULLI, 1)][::-1]
-# (x - sin x) / x^3 = sum_{n >= 1} (-1)^(n+1) x^(2n - 2) / (2n + 1)!, highest power first; below x = 2 the
-# terms fall by x^2 / ((2n + 2)(2n + 3)), so 14 of them reach rounding.
+# (x - sin x) / x^3 = sum_{n >= 1} (-1)^(n+1) x^(2n - 2) / (2n + 1)!, highest power first; below |x| = 2 the
+# terms fall by |x|^2 / ((2n + 2)(2n + 3)), so 14 of them reach rounding.
 _SIN_DEFECT_SERIES = [(-1) ** (n + 1) / math.factorial(2 * n + 1) for n in range(1, 15)][::-1]
+
+
+def _sin_defect(x2: float) -> float:
+    """(x - sin x) / x^3 from its series at x^2 = x2, |x2| < 4; at x2 = -y^2 it is (sinh y - y) / y^3."""
+    acc = 0.0
+    for c in _SIN_DEFECT_SERIES:
+        acc = acc * x2 + c
+    return acc
 
 
 def _phi(s: float) -> float:
     """phi(s) = coth(s) / (2 s) - 1 / (2 sinh(s)^2), 1/3 at s = 0.
 
-    The integral of S(kappa, u, T)^2 over [0, T] is T phi(kappa T).
-    Below s = 3/4 the even series, above it the closed form in e^(-2s)
-    (1 - e^(-4s) - 4 s e^(-2s)) / (2 s (1 - e^(-2s))^2); each is within
-    about 3 ulp of the true value on its side of the switch.
+    The integral of S(kappa, u, T)^2 over [0, T] is T phi(kappa T).  Below
+    s = 1 it is 2 D (s / sinh s)^2, with D = (sinh 2s - 2s) / (2s)^3 the
+    series ``_int_sin2`` sums, taken at imaginary x = 2is, where every term
+    is positive.  Above, the closed form in e^(-2s)
+    (1 - e^(-4s) - 4 s e^(-2s)) / (2 s (1 - e^(-2s))^2).  So both segment
+    norms leave the series at |2kT| = 2, and each side is within a few ulp.
     """
-    if s < 0.75:
-        s2, acc = s * s, 0.0
-        for c in _PHI_SERIES:
-            acc = acc * s2 + c
-        return acc
+    if s < 1.0:
+        r = s / math.sinh(s) if s else 1.0
+        return 2.0 * _sin_defect(-4.0 * s * s) * r * r
     q = -math.expm1(-2.0 * s)
     return (-math.expm1(-4.0 * s) - 4.0 * s * math.exp(-2.0 * s)) / (2.0 * s * q * q)
 
@@ -92,10 +92,8 @@ def _int_sin2(k: float, T: float) -> float:
     """
     x = 2.0 * k * T
     if x < 2.0:
-        x2, acc = x * x, 0.0
-        for c in _SIN_DEFECT_SERIES:
-            acc = acc * x2 + c
-        return 0.5 * T * x2 * acc
+        x2 = x * x
+        return 0.5 * T * x2 * _sin_defect(x2)
     return 0.5 * T - math.sin(x) / (4.0 * k)
 
 

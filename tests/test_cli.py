@@ -383,6 +383,16 @@ class TestExitCodes:
         assert main(["sweep-ground", "--f-list", "0.4", "--rho-steps", "5"]) == 3
         assert "residual" in capsys.readouterr().err
 
+    def test_spectrum_overflowed_residual_is_null(self, capsys):
+        # f kL overflows from level 6 on at f = 1e307: the residual inf made the JSON report exit 2; CSV keeps inf
+        argv = ["spectrum", "--rho-real", "0.3", "--f", "1e307"]
+        assert main(argv + ["--format", "json"]) == 0
+        entries = _strict_json(capsys.readouterr().out)["entries"]
+        residuals = [e["residual"] for e in entries]
+        assert len(entries) == 20 and residuals[5:] == [None] * 15 and all(r > 0.0 for r in residuals[:5])
+        assert main(argv) == 0
+        assert [line.rsplit(",", 1)[1] for line in capsys.readouterr().out.splitlines()[6:]] == ["inf"] * 15
+
     @pytest.mark.parametrize("f", ["1e-154", "1e-120"])
     def test_check_deep_binding_oracle_warns_nothing(self, f, capsys):
         # the tail's series overflowed at the Weyl end (-2e157 at f = 1e-154) and leaked a RuntimeWarning;

@@ -38,6 +38,15 @@ def _bound(cfg):
     return next(iter(ws.full_spectrum(cfg, 0.0).entries), None)
 
 
+def _assert_mirror(cfg, mirror, k_max=6.0 * math.pi):
+    """The spectra at rho and 1 - rho: the same kinds in order, nodal k bit-equal, energies within 1e-9 max(1, |E|)."""
+    a, b = ws.full_spectrum(cfg, k_max).entries, ws.full_spectrum(mirror, k_max).entries
+    assert [s.kind for s in a] == [s.kind for s in b]
+    assert [s.k for s in a if s.kind == ws.NODAL] == [s.k for s in b if s.kind == ws.NODAL]
+    for x, y in zip(a, b):
+        assert x.energy == pytest.approx(y.energy, abs=1e-9 * max(1.0, abs(x.energy)))
+
+
 EPS = np.finfo(float).eps
 
 
@@ -795,11 +804,15 @@ class TestFullSpectrum:
     @example(1e-10, 3.0)
     @example(1e-10, -20.0)
     def test_mirror_symmetry(self, rho, f):
-        e1 = ws.full_spectrum(_gen(rho, f), 6.0 * math.pi).energies
-        e2 = ws.full_spectrum(_gen(1.0 - rho, f), 6.0 * math.pi).energies
-        assert len(e1) == len(e2)
-        for a, b in zip(e1, e2):
-            assert a == pytest.approx(b, abs=1e-9 * max(1.0, abs(a)))
+        _assert_mirror(_gen(rho, f), _gen(1.0 - rho, f))
+
+    @pytest.mark.parametrize("f", [0.05, 0.4, 0.7, 3.0, 20.0, -0.05, -0.4, -0.7, -3.0, -20.0])
+    def test_mirror_symmetry_at_exact_positions(self, f):
+        # p/n and (n - p)/n share their nodal levels j n pi: 45 positions with n <= 12, each with one below 12 pi
+        for n in range(2, 13):
+            for p in range(1, n):
+                if math.gcd(p, n) == 1:
+                    _assert_mirror(_exact(p, n, f), _exact(n - p, n, f), 12.0 * math.pi)
 
     @settings(max_examples=60, deadline=None)
     @given(

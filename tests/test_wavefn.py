@@ -273,7 +273,11 @@ class TestJunctionForm:
         (1e-8, "0.33333333333333332888888888888888876640263389056067"),
         (0.03, "0.33329333847557340345849575785372386028707874876436"),
         (0.5, "0.32260622532306821087917696478502391133042734884969"),
+        (0.75, "0.31020160756134717345587319427550472098971868434203"),
+        (0.999999, "0.29448688009645737548660608591534237137092839587656"),
+        (1.0 - 2.0**-53, "0.29448681226651042614472495337363169761364395929681"),
         (1.0, "0.29448681226651041861408622890012862782631280000861"),
+        (1.0 + 2.0**-52, "0.29448681226651040355280877995312126414663521563101"),
         (30.0, "0.016666666666666666666666649445528833363510000972159"),
         (1e4, "0.00005"),
     ]
@@ -282,6 +286,15 @@ class TestJunctionForm:
     def test_phi_against_frozen_references(self, s, want):
         want = float(want)
         assert abs(wavefn._phi(s) - want) <= 8.0 * EPS * want
+
+    def test_phi_has_no_step_at_the_series_switch(self):
+        # phi falls by 9 to 16 ulp over 64 floats next to s = 1, where the series gives way to the closed form;
+        # consecutive floats wobble by an ulp of rounding on either branch, so values 64 floats apart are compared
+        s = [1.0]
+        for _ in range(64):
+            s = [math.nextafter(s[0], 0.0), *s, math.nextafter(s[-1], 2.0)]
+        phi = [wavefn._phi(x) for x in s]
+        assert all(a >= b for a, b in zip(phi, phi[64:]))
 
     def test_zero_energy_state_is_the_tent(self):
         # at f = 2 rho (1 - rho) the bound state is psi = sqrt(3) x / rho, sqrt(3) (1 - x) / (1 - rho)
