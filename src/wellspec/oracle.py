@@ -101,7 +101,7 @@ def oracle_spectrum(config: DimensionlessConfig, count: int, m: int | None = Non
     idx = np.arange(1, m + 1)
     diag = (idx * np.pi) ** 2  # free-well energies (i pi)^2
     u = coupling(config, idx)  # exact zeros in the nodal sector
-    sigma = 0.0 if math.isinf(config.f) else -4.0 / config.f
+    sigma = -4.0 / config.f  # f = +-inf, the free well, gives sigma = -+0.0
     mask = u * u != 0.0  # next to a wall u^2 underflows to 0 while u does not
     if sigma == 0.0 or not mask.any():
         return diag[:count].tolist()
@@ -124,19 +124,15 @@ def oracle_spectrum(config: DimensionlessConfig, count: int, m: int | None = Non
         t, dt = tail(lam)
         return 1.0 + sigma * (s1 + t), sigma * (np.einsum("ij,j->i", inv, u2) + dt)
 
-    # Weyl bound on the outermost root's shift; at least one ulp, so the end stays off its pole
-    # where the shift rounds away beside it (next to a wall, or at a vanishing coupling)
+    # One array of bracket ends: Weyl's bounds on the outermost roots, each at least one ulp off its pole where the
+    # shift rounds away (next to a wall, or at a vanishing coupling), and the coupled diagonal between them.
     reach = sigma * float(np.sum(u2))
-    if sigma < 0.0:
-        # roots sit below each coupled diagonal entry; w decreases across each gap
-        lo = np.concatenate(([min(d[0] + reach, math.nextafter(d[0], -math.inf))], d[: n_secular - 1]))
-        hi = d[:n_secular]
-        lo_sign, outer = 1.0, lo[:1]
-    else:
-        # roots sit above each coupled diagonal entry; w increases across each gap
-        lo = d[:n_secular]
-        hi = np.concatenate((d[1 : n_secular + 1], [max(d[-1] + reach, math.nextafter(d[-1], math.inf))]))[:n_secular]
-        lo_sign, outer = -1.0, hi[-1:]
+    lower = min(d[0] + reach, math.nextafter(d[0], -math.inf))
+    upper = max(d[-1] + reach, math.nextafter(d[-1], math.inf))
+    ends = np.concatenate(([lower], d[: n_secular + 1], [upper]))
+    up = int(sigma > 0.0)  # each root lies below its own coupled entry for sigma < 0, above it for sigma > 0
+    lo, hi = ends[up : up + n_secular], ends[up + 1 : up + 1 + n_secular]
+    lo_sign, outer = 1.0 - 2.0 * up, (lo[:1], hi[-1:])[up]  # w falls across each gap for sigma < 0, rises for sigma > 0
     # Weyl's bound holds for the truncated sum alone; the tail must show w > 0 there too
     with np.errstate(divide="ignore"):
         w_outer = float(secular(outer)[0][0])

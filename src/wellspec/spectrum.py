@@ -323,7 +323,6 @@ def _brackets(rho, f, level, u):
         zero = first & (f == fc)
         lo = np.where(binds, -4.0 * np.maximum(1.0, 1.0 / f), lo)
         hi = np.where(binds, -1e-9, hi)
-        sign = np.where(binds, 1.0, sign)
         start = _lowest_start(rho, f)
         x0 = np.where(binds, -start, np.where(first, np.minimum(start, x0), x0))
         known = zero | known & ~binds
@@ -337,8 +336,12 @@ def _certify(x, rho, f) -> np.ndarray:
     The tolerance scales by max(1, |f| x), so by 1 below zero.  ``rho`` and
     ``f`` are scalars, or arrays with one entry per root.
     """
-    with np.errstate(over="ignore"):  # past |f| ~ 1e300, f k overflows to the residual and tolerance inf of f = inf
+    with np.errstate(over="ignore"):  # past |f| ~ 1e300, f k overflows to the tolerance inf of f = inf
         res = np.abs(_signed_residual(x, rho, f)[0])
+        over = ~np.isfinite(res)
+        if np.count_nonzero(over):  # f kL overflowed before sin kL could shrink it; f (kL sin kL) stays finite
+            g = f * (x * np.sin(x)) - 2.0 * np.sin(x * rho) * np.sin(x * (1.0 - rho))
+            res = np.where(over, np.abs(g), res)
         bad = np.flatnonzero(res > _RESIDUAL_TOL * np.maximum(1.0, np.abs(f) * x))
     if bad.size:
         raise SolverFailure(f"root polish left residual {res[bad[0]]:.3e} at x={float(x[bad[0]])}")

@@ -383,15 +383,26 @@ class TestExitCodes:
         assert main(["sweep-ground", "--f-list", "0.4", "--rho-steps", "5"]) == 3
         assert "residual" in capsys.readouterr().err
 
-    def test_spectrum_overflowed_residual_is_null(self, capsys):
-        # f kL overflows from level 6 on at f = 1e307: the residual inf made the JSON report exit 2; CSV keeps inf
+    def test_spectrum_huge_coupling_residual_is_finite(self, capsys):
+        # f kL overflowed from level 6 on at f = 1e307: the residual was inf, written as null in JSON and inf in CSV,
+        # though g ~ 1e293 there; f (kL sin kL) keeps it finite
         argv = ["spectrum", "--rho-real", "0.3", "--f", "1e307"]
         assert main(argv + ["--format", "json"]) == 0
         entries = _strict_json(capsys.readouterr().out)["entries"]
         residuals = [e["residual"] for e in entries]
-        assert len(entries) == 20 and residuals[5:] == [None] * 15 and all(r > 0.0 for r in residuals[:5])
+        assert len(entries) == 20 and all(r is not None and 0.0 < r < math.inf for r in residuals)
+        k = entries[5]["k"]
+        g = 1e307 * (k * math.sin(k)) - 2.0 * math.sin(k * 0.3) * math.sin(k * (1.0 - 0.3))
+        assert residuals[5] == pytest.approx(abs(g), rel=8.0 * sys.float_info.epsilon)
         assert main(argv) == 0
-        assert [line.rsplit(",", 1)[1] for line in capsys.readouterr().out.splitlines()[6:]] == ["inf"] * 15
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 20 and all(0.0 < float(line.rsplit(",", 1)[1]) < math.inf for line in rows)
+
+    def test_entry_with_infinite_residual_is_null(self):
+        # a residual that is not finite is not JSON: the report writes it as null, as check --out does
+        state = wellspec.spectrum.EigenState(wellspec.spectrum.ORDINARY_POSITIVE, math.pi, math.pi**2, math.inf)
+        entry = cli._entry_dict(state, wellspec.DimensionlessConfig.generic(0.3, 1.0))
+        assert entry["residual"] is None and _strict_json(json.dumps(entry))["k"] == math.pi
 
     @pytest.mark.parametrize("f", ["1e-154", "1e-120"])
     def test_check_deep_binding_oracle_warns_nothing(self, f, capsys):

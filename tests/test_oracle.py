@@ -84,8 +84,10 @@ class TestOracleSpectrum:
         assert np.all(ws.coupling(cfg, np.arange(1, 4)) != 0.0)
         assert oracle_spectrum(cfg, 2, 3) == [math.pi**2, (2.0 * math.pi) ** 2]
 
-    def test_free_well_ladder(self):
-        vals = oracle_spectrum(ws.DimensionlessConfig.generic(0.3, math.inf), 3, 50)
+    @pytest.mark.parametrize("f", [math.inf, -math.inf])
+    def test_free_well_ladder(self, f):
+        # f = +-inf gives sigma = -+0.0: the free-well diagonal
+        vals = oracle_spectrum(ws.DimensionlessConfig.generic(0.3, f), 3, 50)
         assert vals == pytest.approx([math.pi**2, 4.0 * math.pi**2, 9.0 * math.pi**2], rel=1e-14)
 
     def test_count_bounds(self):

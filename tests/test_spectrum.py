@@ -1162,6 +1162,37 @@ class TestPinnedBits:
         "0x1.de6228224e490p+8", "0x1.3bc85a14343f6p+9",
     ]
 
+    # sigma > 0 with every coupled root solved: the last bracket ends on Weyl's upper bound
+    ORACLE_REPULSIVE = [
+        "0x1.81c735fec425bp+3", "0x1.58deb51a9678dp+5", "0x1.64de96e42c6cap+6",
+        "0x1.3e80339c0ff42p+7", "0x1.f56ec8a149c77p+7", "0x1.64b6b6a84650dp+8",
+        "0x1.e3fd087c0cfabp+8", "0x1.3d9da458844aep+9", "0x1.910b46daa2743p+9",
+        "0x1.ed7aefb394d2dp+9", "0x1.2b33ce0008a99p+10", "0x1.64370dcd1fc30p+10",
+        "0x1.a11639e5b8532p+10", "0x1.e3f3fab5cb08cp+10", "0x1.161511276c374p+11",
+        "0x1.3c00596717ee5p+11", "0x1.6496453027bcep+11", "0x1.902b4eff10a3ep+11",
+        "0x1.bdb1f5e7373a6p+11", "0x1.ed7aefb394d2dp+11", "0x1.1031916750e21p+12",
+        "0x1.2ac84982f533dp+12", "0x1.46567688de203p+12", "0x1.636445e5dd1b2p+12",
+        "0x1.81c807e54c2f3p+12", "0x1.a113dae3ba024p+12", "0x1.c1b529125d654p+12",
+        "0x1.e3d60b7020c7ap+12", "0x1.0377baa5f06f6p+13", "0x1.159526d503b69p+13",
+        "0x1.287a617c9ba95p+13", "0x1.3bf0cf66cc79cp+13", "0x1.4fe30e7784f1ap+13",
+        "0x1.64951e702aaa9p+13", "0x1.79f21fd9c984fp+13", "0x1.8fc32739d253ap+13",
+        "0x1.a63ef52d8e73ap+13", "0x1.bd7a90a80a407p+13", "0x1.d5325d9f6b26cp+13",
+        "0x1.ed7aefb394d2dp+13",
+    ]
+    # sigma > 0 at 1/2, every even row decoupled, with Weyl's upper bound
+    ORACLE_HALF_DECOUPLED = [
+        "0x1.afc18963e0624p+3", "0x1.3bd3cc9be45dep+5", "0x1.7313f88243fb7p+6",
+        "0x1.3bd3cc9be45dep+7", "0x1.f57050d2b78dap+7", "0x1.634e462f60e9ap+8",
+        "0x1.e799cf23e301dp+8", "0x1.3bd3cc9be45dep+9", "0x1.91b78a797f011p+9",
+        "0x1.ed7aefb394d2bp+9", "0x1.2b8e6831bd5e8p+10", "0x1.634e462f60e9ap+10",
+    ]
+    # sigma > 0 with every bracket between two poles
+    ORACLE_BETWEEN_POLES = [
+        "0x1.b2874e7192a17p+3", "0x1.750f87eebf208p+5", "0x1.66807e8109ba1p+6",
+        "0x1.40fdfed166a3fp+7", "0x1.fd3bdfe4aceffp+7", "0x1.662bd17dc3e41p+8",
+        "0x1.e45b9a3b8b683p+8", "0x1.3f5befd6f96d9p+9",
+    ]
+
     @pytest.mark.parametrize("cfg, k_over_pi", list(TABLES), ids=repr)
     def test_full_spectrum_tables(self, cfg, k_over_pi):
         entries = ws.full_spectrum(cfg, k_over_pi * math.pi).entries
@@ -1180,6 +1211,18 @@ class TestPinnedBits:
 
     def test_oracle_secular_solve(self):
         assert [float(e).hex() for e in ws.oracle_spectrum(_gen(0.37, 0.7), 8, 1000)] == self.ORACLE
+
+    @pytest.mark.parametrize(
+        "cfg, count, m, pinned",
+        [
+            (_gen(0.3, -1.0), 40, 40, ORACLE_REPULSIVE),
+            (_exact(1, 2, -1.0), 12, 12, ORACLE_HALF_DECOUPLED),
+            (_gen(0.3, -0.5), 8, None, ORACLE_BETWEEN_POLES),
+        ],
+        ids=["every-root", "half-decoupled", "between-poles"],
+    )
+    def test_oracle_secular_solve_repulsive(self, cfg, count, m, pinned):
+        assert [float(e).hex() for e in ws.oracle_spectrum(cfg, count, m)] == pinned
 
 
 class TestAsymptoticEstimators:
